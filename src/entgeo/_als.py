@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 _AXES = "abcdefgh"  # one contraction axis per qubit, up to 8 qubits
+_POLISH_STEPS = 12
 
 
 def haar_bloch_spinors(rng: np.random.Generator, shape) -> np.ndarray:
@@ -66,7 +67,6 @@ def power_iteration(
     max_iterations: int,
     tol: float,
     seed,
-    record_history: bool = False,
 ):
     """Run the alternating update for a batch of states.
 
@@ -79,14 +79,11 @@ def power_iteration(
     tol : freeze a run once its per-sweep change in squared overlap drops
         below this.
     seed : anything acceptable to ``numpy.random.SeedSequence``.
-    record_history : keep the per-sweep squared overlaps (disables the
-        compaction fast path; meant for small diagnostic runs).
 
     Returns
     -------
     dict with ``g_squared`` (S, R), ``spinors`` (list of n arrays (S, R, 2)),
-    ``iterations`` (S, R), ``converged`` (S, R) and optionally ``history``
-    ((sweeps, S, R), monotone along axis 0 for each run).
+    ``iterations`` (S, R) and ``converged`` (S, R).
     """
     n = psis.ndim - 1
     n_states = psis.shape[0]
@@ -107,7 +104,6 @@ def power_iteration(
     out_conv = np.zeros(total, dtype=bool)
     out_iters = np.zeros(total, dtype=int)
     out_sp = [np.empty((total, 2), dtype=complex) for _ in range(n)]
-    history = [] if record_history else None
 
     for sweep in range(1, max_iterations + 1):
         norm = None
@@ -118,25 +114,13 @@ def power_iteration(
             safe = norm > 1e-300
             cur[q] = np.where(safe[:, None], v.conj() / np.where(safe, norm, 1.0)[:, None], cur[q])
         new_g2 = norm**2
-        delta = np.abs(new_g2 - cur_g2)
+        conv = np.abs(new_g2 - cur_g2) < tol
         cur_g2 = new_g2
-        if record_history:
-            # no compaction in this mode; every run keeps iterating until all stop
-            history.append(cur_g2.copy())
-            if sweep < max_iterations and np.max(delta) >= tol:
-                continue
-            done = np.ones(index.size, dtype=bool)
-            conv_now = delta < tol
-        elif sweep == max_iterations:
-            done = np.ones(index.size, dtype=bool)
-            conv_now = delta < tol
-        else:
-            done = delta < tol
-            conv_now = done
+        done = conv if sweep < max_iterations else np.ones(index.size, dtype=bool)
         if done.any():
             frozen = index[done]
             out_g2[frozen] = cur_g2[done]
-            out_conv[frozen] = conv_now[done]
+            out_conv[frozen] = conv[done]
             out_iters[frozen] = sweep
             for q in range(n):
                 out_sp[q][frozen] = cur[q][done]
@@ -148,82 +132,77 @@ def power_iteration(
             cur = [c[keep] for c in cur]
             cur_g2 = cur_g2[keep]
 
-    result = {
+    return {
         "g_squared": out_g2.reshape(n_states, n_runs),
         "spinors": [s.reshape(n_states, n_runs, 2) for s in out_sp],
         "iterations": out_iters.reshape(n_states, n_runs),
         "converged": out_conv.reshape(n_states, n_runs),
     }
-    if record_history:
-        result["history"] = np.array(history).reshape(-1, n_states, n_runs)
-    return result
+
+
+def _perp(e: np.ndarray) -> np.ndarray:
+    """The spinor orthogonal to ``e``; antilinear, with perp(perp(e)) = -e."""
+    return np.array([-np.conj(e[1]), np.conj(e[0])])
 
 
 def _cross_amplitudes(psi_conj: np.ndarray, spinors: list[np.ndarray]):
-    """Contractions with one spinor replaced by its orthogonal complement.
+    """Contractions with one or two spinors replaced by their complements.
 
-    Their vanishing is first-order stationarity of the product overlap.
-    Returns (residual vector of n complex numbers, overlap value).
+    Returns the symmetric (n, n) matrix C and the overlap g.  C[q, k] has the
+    complement at qubits q and k; its diagonal C[q, q], with the complement
+    at q alone, vanishes exactly at a stationary point of the product overlap.
     """
     n = psi_conj.ndim
-    perp = [np.array([-np.conj(s[1]), np.conj(s[0])]) for s in spinors]
-    values = np.empty(n, dtype=complex)
-    for q in range(n):
-        ops = [spinors[k] if k != q else perp[q] for k in range(n)]
-        t = psi_conj
-        for k in range(n):
-            t = np.tensordot(t, ops[k], axes=([0], [0]))
-        values[q] = t
     t = psi_conj
-    for k in range(n):
-        t = np.tensordot(t, spinors[k], axes=([0], [0]))
-    return values, t
+    for e in spinors:
+        # basis (e, perp(e)) on each qubit: index 0 picks the spinor, 1 its complement
+        t = np.tensordot(t, np.stack([e, _perp(e)], axis=1), axes=([0], [0]))
+    flat = t.reshape(-1)
+    bits = 1 << (n - 1 - np.arange(n))
+    return flat[bits[:, None] | bits[None, :]], flat[0]
 
 
-def polish_stationary(psi: np.ndarray, spinors: list[np.ndarray], max_steps: int = 12):
+def _newton_jacobian(cross: np.ndarray, g) -> np.ndarray:
+    """Real (2n, 2n) Jacobian of the residual f_q = C[q, q] in the step t.
+
+    Moving spinor k to normalize(e_k + t_k perp(e_k)) changes f_q by
+    sum_{k != q} C[q, k] t_k - g conj(t_q) to first order: perp is antilinear
+    with perp(perp(e)) = -e, and the norm changes only at second order.
+    Rows are (Re f, Im f); column 2k + 0 / 1 is Re t_k / Im t_k.
+    """
+    n = cross.shape[0]
+    diag = np.diagonal(cross)
+    d_re = cross - np.diag(diag + g)
+    d_im = 1j * (cross - np.diag(diag - g))
+    cols = np.stack([d_re, d_im], axis=2).reshape(n, 2 * n)
+    return np.vstack([cols.real, cols.imag])
+
+
+def polish_stationary(psi: np.ndarray, spinors: list[np.ndarray]):
     """Newton-refine a near-stationary product state to machine precision.
 
     Each spinor moves along its orthogonal complement, e ->
     normalize(e + t * e_perp) with one complex t per qubit, and the n complex
-    cross amplitudes are driven to zero.  Falls back to the input if the
-    refinement does not improve.
+    residuals C[q, q] are driven to zero.  Stops at the first step that does
+    not improve.  Returns (spinors, residual norm).
     """
-    n = psi.ndim
     psi_conj = psi.conj()
-    best = [s.copy() for s in spinors]
-    best_res, _ = _cross_amplitudes(psi_conj, best)
-    best_norm = np.linalg.norm(best_res)
-    cur = [s.copy() for s in best]
-    step = 1e-7
-    for _ in range(max_steps):
-        f0, _ = _cross_amplitudes(psi_conj, cur)
-        f_real = np.concatenate([f0.real, f0.imag])
-        if np.linalg.norm(f0) < 1e-15:
+    cur = list(spinors)
+    cross, g = _cross_amplitudes(psi_conj, cur)
+    best, best_norm = cur, np.linalg.norm(np.diagonal(cross))
+    for _ in range(_POLISH_STEPS):
+        if best_norm < 1e-15:
             break
-        jac = np.empty((2 * n, 2 * n))
-        for q in range(n):
-            perp = np.array([-np.conj(cur[q][1]), np.conj(cur[q][0])])
-            for part in range(2):
-                t = step if part == 0 else 1j * step
-                trial = [c.copy() for c in cur]
-                moved = cur[q] + t * perp
-                trial[q] = moved / np.linalg.norm(moved)
-                f1, _ = _cross_amplitudes(psi_conj, trial)
-                col = (np.concatenate([f1.real, f1.imag]) - f_real) / step
-                jac[:, 2 * q + part] = col
+        f = np.diagonal(cross)
         try:
-            update = np.linalg.solve(jac, -f_real)
+            update = np.linalg.solve(_newton_jacobian(cross, g), -np.concatenate([f.real, f.imag]))
         except np.linalg.LinAlgError:
             break
-        for q in range(n):
-            perp = np.array([-np.conj(cur[q][1]), np.conj(cur[q][0])])
-            moved = cur[q] + (update[2 * q] + 1j * update[2 * q + 1]) * perp
-            cur[q] = moved / np.linalg.norm(moved)
-        res, _ = _cross_amplitudes(psi_conj, cur)
-        res_norm = np.linalg.norm(res)
-        if res_norm < best_norm:
-            best_norm = res_norm
-            best = [c.copy() for c in cur]
-        else:
+        moved = [e + (update[2 * q] + 1j * update[2 * q + 1]) * _perp(e) for q, e in enumerate(cur)]
+        cur = [m / np.linalg.norm(m) for m in moved]
+        cross, g = _cross_amplitudes(psi_conj, cur)
+        res_norm = np.linalg.norm(np.diagonal(cross))
+        if res_norm >= best_norm:
             break
-    return best
+        best, best_norm = cur, res_norm
+    return best, float(best_norm)

@@ -15,14 +15,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _als
 from .invariants import (
     bloch_vector,
     correlation_matrix,
     invariant_set,
     sextic_t_trace,
 )
-from .overlap import SolverConfig, nearest_product_state, quarter_form
+from .overlap import (
+    SolverConfig,
+    _bloch_residual,
+    _solve_batch,
+    nearest_product_state,
+    quarter_form,
+)
 from .states import (
     CanonicalParams,
     ProductState,
@@ -264,10 +269,7 @@ def svd_branch_solutions(p: CanonicalParams, constraint_tol: float = 1e-10) -> B
     def solution(x_rot, y_rot, lam1, lam2):
         x = u @ x_rot
         y = v @ y_rot
-        residual = float(
-            np.linalg.norm(corr @ y + bloch_a - lam1 * x)
-            + np.linalg.norm(corr.T @ x + bloch_b - lam2 * y)
-        )
+        residual = _bloch_residual(bloch_a, bloch_b, corr, x, y, lam1, lam2)
         g2 = quarter_form(x, y, bloch_a, bloch_b, corr)
         return BranchSolution(
             x_rotated=x_rot, y_rotated=y_rot, x=x, y=y,
@@ -438,25 +440,13 @@ def run_theorem_campaign(
     rng = np.random.default_rng(seed)
     params = [_sample_zero_bloch(family, rng) for _ in range(n_samples)]
     tensors = np.stack([canonical_to_state(p).tensor for p in params])
-    run = _als.power_iteration(
-        tensors,
-        restarts=solver.restarts,
-        max_iterations=solver.max_iterations,
-        tol=solver.tol,
-        seed=solver.seed,
-    )
-    g2 = run["g_squared"].max(axis=1)
+    g2 = _solve_batch(tensors, solver)[0]
 
     max_t = 0.0
     max_zero = 0.0
     max_sv = 0.0
     failures = []
-    retry = SolverConfig(
-        restarts=4 * solver.restarts,
-        max_iterations=4 * solver.max_iterations,
-        tol=solver.tol,
-        seed=solver.seed + 1,
-    )
+    retry = solver.escalated()
     for i, p in enumerate(params):
         state = canonical_to_state(p)
         if abs(g2[i] - 0.5) > 0.5 * tolerance:
@@ -641,21 +631,8 @@ def inverse_search(
         states.append(ghz_state(3))
         states.append(canonical_to_state(_sample_zero_bloch(ZeroBlochFamily.QUADRILATERAL, rng)))
         states.append(canonical_to_state(_sample_zero_bloch(ZeroBlochFamily.H_NONZERO, rng)))
-    tensors = np.stack([s.tensor for s in states])
-    run = _als.power_iteration(
-        tensors,
-        restarts=solver.restarts,
-        max_iterations=solver.max_iterations,
-        tol=solver.tol,
-        seed=solver.seed,
-    )
-    g2 = run["g_squared"].max(axis=1)
-    refine = SolverConfig(
-        restarts=4 * solver.restarts,
-        max_iterations=4 * solver.max_iterations,
-        tol=solver.tol,
-        seed=solver.seed + 1,
-    )
+    g2 = _solve_batch(np.stack([s.tensor for s in states]), solver)[0]
+    refine = solver.escalated()
     hits = []
     for i, state in enumerate(states):
         if abs(g2[i] - 0.5) > 10.0 * filter_tol:

@@ -146,20 +146,18 @@ class InvariantSet:
         return float(np.abs(self.as_array() - other.as_array()).max())
 
 
-def invariant_set(s: PureState, verify: bool = True) -> InvariantSet:
+def invariant_set(s: PureState) -> InvariantSet:
     """Assemble (b_A, b_B, b_C, t, tau).
 
-    With ``verify`` (on by default) the two independent formulas for t are
-    cross-checked at 1e-10; a disagreement signals an internal bug, never bad
-    input.
+    The two independent formulas for t are cross-checked at 1e-10; a
+    disagreement signals an internal bug, never bad input.
     """
     t_value = sextic_t_trace(s)
-    if verify:
-        t_other = sextic_t_bloch(s)
-        if abs(t_value - t_other) > _T_CROSS_TOL:
-            raise InvariantConsistencyError(
-                f"sextic invariant mismatch: trace form {t_value!r} vs Bloch form {t_other!r}"
-            )
+    t_other = sextic_t_bloch(s)
+    if abs(t_value - t_other) > _T_CROSS_TOL:
+        raise InvariantConsistencyError(
+            f"sextic invariant mismatch: trace form {t_value!r} vs Bloch form {t_other!r}"
+        )
     return InvariantSet(
         b_A=bloch_length(s, 0),
         b_B=bloch_length(s, 1),

@@ -37,6 +37,16 @@ class SolverConfig:
         if self.restarts < 1 or self.max_iterations < 1 or self.tol <= 0:
             raise ValueError("restarts, max_iterations and tol must be positive")
 
+    def escalated(self) -> "SolverConfig":
+        """The budget for re-solving stragglers: 4x the restarts and sweeps, the
+        same ``tol`` and the next seed."""
+        return SolverConfig(
+            restarts=4 * self.restarts,
+            max_iterations=4 * self.max_iterations,
+            tol=self.tol,
+            seed=self.seed + 1,
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class OverlapResult:
@@ -56,7 +66,6 @@ class OverlapResult:
     iterations: int
     converged: bool
     stationarity_residual: float
-    sweep_history: np.ndarray | None = None
 
 
 def bloch_to_spinor(v) -> np.ndarray:
@@ -152,9 +161,13 @@ def stationarity_residual(s: PureState, x, y, lam1: float, lam2: float) -> float
     y = np.asarray(y, dtype=float)
     if abs(np.linalg.norm(x) - 1.0) > 1e-8 or abs(np.linalg.norm(y) - 1.0) > 1e-8:
         raise ValueError("x and y must be unit 3-vectors")
-    b_a = bloch_vector(s, 0)
-    b_b = bloch_vector(s, 1)
-    g = correlation_matrix(s, 0, 1)
+    return _bloch_residual(
+        bloch_vector(s, 0), bloch_vector(s, 1), correlation_matrix(s, 0, 1), x, y, lam1, lam2
+    )
+
+
+def _bloch_residual(b_a, b_b, g, x, y, lam1: float, lam2: float) -> float:
+    """|G y + b_A - lambda_1 x| + |G^T x + b_B - lambda_2 y|, unvalidated."""
     return float(
         np.linalg.norm(g @ y + b_a - lam1 * x) + np.linalg.norm(g.T @ x + b_b - lam2 * y)
     )
@@ -168,10 +181,33 @@ def _gauge_fix(spinor: np.ndarray) -> np.ndarray:
     return spinor * (np.conj(pivot) / abs(pivot))
 
 
-def nearest_product_state(
-    s: PureState, cfg: SolverConfig | None = None, record_history: bool = False
-) -> OverlapResult:
-    """Best product approximation of ``s`` over ``cfg.restarts`` + 1 starts.
+def _solve_batch(tensors: np.ndarray, cfg: SolverConfig):
+    """Best of ``cfg.restarts`` + 1 ALS runs for each state of an (S, 2, ..., 2)
+    batch, unpolished.
+
+    Returns (g_squared (S,), spinors as n arrays (S, 2), sweeps (S,),
+    converged (S,)), each taken from the best run of its state.
+    """
+    run = _als.power_iteration(
+        tensors,
+        restarts=cfg.restarts,
+        max_iterations=cfg.max_iterations,
+        tol=cfg.tol,
+        seed=cfg.seed,
+    )
+    rows = np.arange(tensors.shape[0])
+    best = np.argmax(run["g_squared"], axis=1)
+    return (
+        run["g_squared"][rows, best],
+        [sp[rows, best] for sp in run["spinors"]],
+        run["iterations"][rows, best],
+        run["converged"][rows, best],
+    )
+
+
+def nearest_product_state(s: PureState, cfg: SolverConfig | None = None) -> OverlapResult:
+    """Best product approximation of ``s`` over ``cfg.restarts`` + 1 starts,
+    Newton-polished to a stationary point.
 
     Non-convergence is reported through the ``converged`` flag, never raised;
     the best stationary value found is returned either way.
@@ -179,17 +215,8 @@ def nearest_product_state(
     if s.n_qubits < 2:
         raise ValueError("the product overlap needs at least 2 qubits")
     cfg = cfg or SolverConfig()
-    run = _als.power_iteration(
-        s.tensor[None],
-        restarts=cfg.restarts,
-        max_iterations=cfg.max_iterations,
-        tol=cfg.tol,
-        seed=cfg.seed,
-        record_history=record_history,
-    )
-    best = int(np.argmax(run["g_squared"][0]))
-    spinors = [run["spinors"][q][0, best] for q in range(s.n_qubits)]
-    spinors = _als.polish_stationary(s.tensor, spinors)
+    _, spinors, sweeps, converged = _solve_batch(s.tensor[None], cfg)
+    spinors, residual = _als.polish_stationary(s.tensor, [sp[0] for sp in spinors])
     product = ProductState(tuple(_gauge_fix(sp) for sp in spinors))
     g_squared = overlap_with_product(s, product) ** 2
     lagrange = None
@@ -202,18 +229,13 @@ def nearest_product_state(
         lam1 = float(x @ (g @ y + b_a))
         lam2 = float(y @ (g.T @ x + b_b))
         lagrange = (lam1, lam2)
-        residual = stationarity_residual(s, x, y, lam1, lam2)
-    else:
-        cross, _ = _als._cross_amplitudes(s.tensor.conj(), list(product.spinors))
-        residual = float(np.linalg.norm(cross))
-    history = run.get("history")
+        residual = _bloch_residual(b_a, b_b, g, x, y, lam1, lam2)
     return OverlapResult(
         g_squared=float(g_squared),
         product=product,
         lagrange=lagrange,
         restarts_used=cfg.restarts + 1,
-        iterations=int(run["iterations"][0, best]),
-        converged=bool(run["converged"][0, best]),
+        iterations=int(sweeps[0]),
+        converged=bool(converged[0]),
         stationarity_residual=residual,
-        sweep_history=None if history is None else history[:, 0, :],
     )

@@ -59,6 +59,8 @@ class PureState:
             raise ValueError(
                 f"expected {2**self.n_qubits} amplitudes for {self.n_qubits} qubits, got {amps.size}"
             )
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be finite")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
         if abs(norm_sq - 1.0) > NORM_ATOL:
             raise ValueError(
@@ -82,21 +84,38 @@ class PureState:
         return abs(self.inner(other)) ** 2
 
 
+def _normalize(amps: np.ndarray) -> tuple[np.ndarray, float]:
+    """(amps / |amps|, |amps|) for a finite vector, (amps, 0.0) for a zero one.
+
+    Dividing by the largest magnitude first keeps huge entries from
+    overflowing the norm.
+    """
+    scale = float(np.abs(amps).max())
+    if scale == 0.0:
+        return amps, 0.0
+    scaled = amps / scale
+    length = float(np.linalg.norm(scaled))
+    return scaled / length, scale * length
+
+
 def make_state(n: int, amplitudes) -> PureState:
     """Build a normalized ``PureState`` from raw amplitudes.
 
     The input is normalized and the applied factor recorded on the result.
-    Raises on a length mismatch or an all-zero amplitude vector.
+    Raises on a length mismatch, a non-finite entry or an all-zero amplitude
+    vector.
     """
     amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"n must be between 1 and {MAX_QUBITS}, got {n}")
     if amps.size != 2**n:
         raise ValueError(f"expected {2**n} amplitudes for {n} qubits, got {amps.size}")
-    norm = float(np.linalg.norm(amps))
-    if norm < 1e-150:
+    if not np.isfinite(amps).all():
+        raise ValueError("amplitudes must be finite")
+    unit, norm = _normalize(amps)
+    if norm == 0.0:
         raise ValueError("all-zero amplitude vector")
-    return PureState(n, amps / norm, norm_factor=norm)
+    return PureState(n, unit, norm_factor=norm)
 
 
 def basis_state(n: int, index: int) -> PureState:
@@ -426,9 +445,15 @@ def state_from_dict(doc: dict, allow_unnormalized: bool = False) -> PureState:
             raise StateFormatError(
                 f"amplitudes[{i}] must be a [re, im] pair of numbers", field="amplitudes"
             )
-        amps[i] = pair[0] + 1j * pair[1]
-    norm = float(np.linalg.norm(amps))
-    if norm < 1e-150:
+        try:
+            amps[i] = complex(*pair)
+        except OverflowError:  # an integer beyond the float range
+            amps[i] = np.inf
+    bad = np.flatnonzero(~np.isfinite(amps))
+    if bad.size:
+        raise StateFormatError(f"amplitudes[{bad[0]}] is not finite", field="amplitudes")
+    unit, norm = _normalize(amps)
+    if norm == 0.0:
         raise StateFormatError("amplitudes are all zero", field="amplitudes")
     dev = abs(norm - 1.0)
     if dev > 1e-3 and not allow_unnormalized:
@@ -438,7 +463,7 @@ def state_from_dict(doc: dict, allow_unnormalized: bool = False) -> PureState:
         )
     if dev > 1e-6:
         warnings.warn(f"state norm {norm:.6g} deviates from 1; normalizing", stacklevel=2)
-    return PureState(n, amps / norm, norm_factor=norm)
+    return PureState(n, unit, norm_factor=norm)
 
 
 def save_state(s: PureState, path) -> None:
@@ -469,6 +494,8 @@ _PHASE_ROWS = {
     7: (1.0, 1.0, 1.0, 1.0),
 }
 _ZERO_AMP = 1e-10
+_CANON_MAX_ITERATIONS = 3000
+_CANON_RESIDUAL_TOL = 1e-9
 
 
 def _solve_phase_gauge(amps: np.ndarray) -> np.ndarray:
@@ -503,10 +530,7 @@ def _phase_vector(theta: np.ndarray) -> np.ndarray:
 
 def _canonical_rep(tensor: np.ndarray, spinors: list[np.ndarray]):
     """Canonical parameters, unitaries and residual for one stationary branch."""
-    unitaries = []
-    for e in spinors:
-        f = np.array([-np.conj(e[1]), np.conj(e[0])])
-        unitaries.append(np.vstack([e.conj(), f.conj()]))
+    unitaries = [np.vstack([e.conj(), _als._perp(e).conj()]) for e in spinors]
     t = tensor
     for q, u in enumerate(unitaries):
         t = np.moveaxis(np.tensordot(u, np.moveaxis(t, q, 0), axes=(1, 0)), 0, q)
@@ -541,19 +565,13 @@ def _canonical_rep(tensor: np.ndarray, spinors: list[np.ndarray]):
     return params, LocalUnitary(tuple(final)), residual
 
 
-def canonicalize(
-    s: PureState,
-    restarts: int = 32,
-    max_iterations: int = 3000,
-    seed=0,
-    residual_tol: float = 1e-9,
-) -> tuple[CanonicalParams, LocalUnitary]:
+def canonicalize(s: PureState, restarts: int = 32, seed=0) -> tuple[CanonicalParams, LocalUnitary]:
     """Find local unitaries taking a three-qubit state to its canonical form.
 
     Every stationary product state of the overlap with nonzero value yields a
     representative; the search runs ``restarts`` random starts plus one basis
     start, Newton-polishes each converged branch, and among all
-    representatives reaching ``residual_tol`` returns the lexicographically
+    representatives reaching a residual of 1e-9 returns the lexicographically
     largest (d, h, a, b, c), breaking remaining ties toward gamma >= 0.
 
     The returned unitaries map ``s`` onto ``canonical_to_state(params)``
@@ -563,7 +581,8 @@ def canonicalize(
         raise ValueError("canonicalization is defined for three-qubit states")
     tensor = s.tensor
     run = _als.power_iteration(
-        tensor[None], restarts=restarts, max_iterations=max_iterations, tol=1e-15, seed=seed
+        tensor[None], restarts=restarts, max_iterations=_CANON_MAX_ITERATIONS, tol=1e-15,
+        seed=seed,
     )
     overlaps = run["g_squared"][0]
     order = np.argsort(-overlaps, kind="stable")
@@ -589,9 +608,9 @@ def canonicalize(
         if fingerprint in seen_branches:
             continue
         seen_branches.add(fingerprint)
-        spinors = _als.polish_stationary(tensor, spinors)
+        spinors, _ = _als.polish_stationary(tensor, spinors)
         params, lu, residual = _canonical_rep(tensor, spinors)
-        if residual > residual_tol:
+        if residual > _CANON_RESIDUAL_TOL:
             continue
         key = tuple(np.round(params.as_tuple(), 7))
         if key in seen_params:
@@ -600,7 +619,7 @@ def canonicalize(
         candidates.append((params, lu, residual))
     if not candidates:
         raise CanonicalizationError(
-            f"no canonical representative reached residual {residual_tol:g} "
+            f"no canonical representative reached residual {_CANON_RESIDUAL_TOL:g} "
             f"after {restarts} restarts"
         )
 

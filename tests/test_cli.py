@@ -49,6 +49,15 @@ class TestInvariantsCommand:
         assert code == 2
         assert "amplitudes" in err
 
+    def test_overlap_non_finite_file_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"n_qubits": 2, "amplitudes": [[1.0, 0.0], [float("nan"), 0.0],
+                                                                   [0.0, 0.0], [0.0, 0.0]]}))
+        assert "NaN" in path.read_text()
+        code, _, err = run_cli(capsys, "overlap", "--input", str(path))
+        assert code == 2
+        assert "not finite" in err and "field: amplitudes" in err
+
     def test_non_three_qubit_rejected(self, capsys):
         code, _, err = run_cli(capsys, "overlap", "--builtin", "dicke4")
         assert code == 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from entgeo import (
+    ProductState,
     SolverConfig,
     basis_state,
     bloch_to_spinor,
@@ -26,6 +27,8 @@ from entgeo import (
     LocalUnitary,
     apply_local_unitary,
 )
+from entgeo import _als
+from entgeo.overlap import _solve_batch
 
 from oracles import grid_overlap_sq
 
@@ -66,12 +69,18 @@ class TestKnownValues:
 
 class TestSolverContracts:
     def test_monotone_sweeps(self):
+        # a cap of k sweeps reports each run after sweep min(k, its freeze sweep),
+        # so stacking the capped results gives every run's per-sweep history
         for seed in range(5):
-            s = haar_random_state(3, seed=seed)
-            result = nearest_product_state(
-                s, SolverConfig(restarts=8, seed=seed), record_history=True
-            )
-            hist = result.sweep_history
+            psis = haar_random_state(3, seed=seed).tensor[None]
+            full = _als.power_iteration(psis, restarts=8, max_iterations=500, tol=1e-13, seed=seed)
+            hist = np.array([
+                _als.power_iteration(psis, restarts=8, max_iterations=k, tol=1e-13, seed=seed)[
+                    "g_squared"
+                ]
+                for k in range(1, int(full["iterations"].max()) + 1)
+            ])
+            assert np.array_equal(hist[-1], full["g_squared"])
             diffs = np.diff(hist, axis=0)
             assert np.nanmin(diffs) > -1e-14
 
@@ -228,3 +237,83 @@ class TestGeometricMeasure:
             geometric_measure(0.0)
         with pytest.raises(ValueError):
             geometric_measure(-0.2)
+
+
+def _residuals(psi_conj, spinors):
+    """Reference residuals: the state contracted with the orthogonal complement
+    of one spinor and the other spinors as they are, one qubit at a time."""
+    out = []
+    for q in range(len(spinors)):
+        t = psi_conj
+        for k, e in enumerate(spinors):
+            op = np.array([-np.conj(e[1]), np.conj(e[0])]) if k == q else e
+            t = np.tensordot(t, op, axes=([0], [0]))
+        out.append(t)
+    return np.array(out)
+
+
+def _moved(spinors, q, t):
+    out = list(spinors)
+    e = spinors[q]
+    m = e + t * np.array([-np.conj(e[1]), np.conj(e[0])])
+    out[q] = m / np.linalg.norm(m)
+    return out
+
+
+def _fd_jacobian(psi_conj, spinors, step):
+    """Central differences of the residuals along Re t_q and Im t_q."""
+    n = len(spinors)
+    jac = np.empty((2 * n, 2 * n))
+    for q in range(n):
+        for part, t in enumerate((step, 1j * step)):
+            d = (_residuals(psi_conj, _moved(spinors, q, t))
+                 - _residuals(psi_conj, _moved(spinors, q, -t))) / (2.0 * step)
+            jac[:, 2 * q + part] = np.concatenate([d.real, d.imag])
+    return jac
+
+
+class TestSolvePath:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_closed_form_jacobian_matches_finite_differences(self, n):
+        rng = np.random.default_rng(40 + n)
+        for trial in range(3):
+            psi_conj = haar_random_state(n, seed=rng).tensor.conj()
+            spinors = list(_als.haar_bloch_spinors(rng, (n,)))
+            cross, g = _als._cross_amplitudes(psi_conj, spinors)
+            assert np.allclose(cross, cross.T, atol=1e-15)
+            assert np.allclose(np.diagonal(cross), _residuals(psi_conj, spinors), atol=1e-15)
+            analytic = _als._newton_jacobian(cross, g)
+            reference = _fd_jacobian(psi_conj, spinors, step=1e-6)
+            assert np.abs(analytic - reference).max() <= 1e-6
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_polish_reaches_machine_precision(self, n):
+        for seed in range(3):
+            s = haar_random_state(n, seed=100 * n + seed)
+            _, spinors, _, _ = _solve_batch(s.tensor[None], FAST)
+            polished, residual = _als.polish_stationary(s.tensor, [sp[0] for sp in spinors])
+            assert residual <= 1e-13
+            assert np.linalg.norm(_residuals(s.tensor.conj(), polished)) <= 1e-13
+
+    def test_solve_batch_is_best_run(self):
+        states = [haar_random_state(4, seed=seed) for seed in range(3)]
+        states.append(apply_local_unitary(ghz_state(4), LocalUnitary.random(4, seed=1)))
+        states.append(apply_local_unitary(w_state(4), LocalUnitary.random(4, seed=2)))
+        tensors = np.stack([s.tensor for s in states])
+        cfg = SolverConfig(restarts=8, seed=5)
+        g2, spinors, sweeps, converged = _solve_batch(tensors, cfg)
+        run = _als.power_iteration(tensors, cfg.restarts, cfg.max_iterations, cfg.tol, cfg.seed)
+        assert np.array_equal(g2, run["g_squared"].max(axis=1))
+        best = np.argmax(run["g_squared"], axis=1)
+        rows = np.arange(len(states))
+        assert np.array_equal(sweeps, run["iterations"][rows, best])
+        assert np.array_equal(converged, run["converged"][rows, best])
+        for i, s in enumerate(states):
+            product = ProductState(tuple(sp[i] for sp in spinors))
+            assert overlap_with_product(s, product) ** 2 == pytest.approx(g2[i], abs=1e-12)
+        assert g2[3] == pytest.approx(0.5, abs=1e-9)
+        assert g2[4] == pytest.approx(27 / 64, abs=1e-9)
+
+    def test_escalated(self):
+        cfg = SolverConfig(restarts=16, max_iterations=500, tol=1e-13, seed=3).escalated()
+        assert (cfg.restarts, cfg.max_iterations, cfg.tol, cfg.seed) == (64, 2000, 1e-13, 4)

@@ -67,6 +67,21 @@ class TestMakeState:
         with pytest.raises(ValueError, match="not normalized"):
             PureState(1, np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PureState(1, np.array([bad, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            make_state(1, [bad, 1.0])
+
+    def test_huge_finite_amplitudes_normalized(self):
+        s = make_state(1, [1e200, 1e200])
+        assert np.allclose(s.amplitudes, [1 / SQ2, 1 / SQ2], atol=1e-15)
+        assert s.norm_factor == pytest.approx(SQ2 * 1e200)
+        # the norm itself overflows here, the normalized state does not
+        s = make_state(2, [1e308] * 4)
+        assert np.allclose(s.amplitudes, [0.5] * 4, atol=1e-15)
+
 
 class TestCanonicalToState:
     def test_ghz(self):
@@ -314,6 +329,20 @@ class TestStateFiles:
         doc = {"n_qubits": 1, "amplitudes": [[1.0, 0.0], ["x", 0.0]]}
         with pytest.raises(StateFormatError, match=r"amplitudes\[1\]"):
             state_from_dict(doc)
+
+    @pytest.mark.parametrize("bad", [[float("nan"), 0.0], [0.0, float("-inf")], [10**400, 0]])
+    def test_non_finite_rejected(self, bad):
+        doc = {"n_qubits": 1, "amplitudes": [[1.0, 0.0], bad]}
+        with pytest.raises(StateFormatError, match=r"amplitudes\[1\] is not finite") as err:
+            state_from_dict(doc, allow_unnormalized=True)
+        assert err.value.field == "amplitudes"
+
+    def test_huge_finite_amplitudes_normalized(self):
+        doc = {"n_qubits": 1, "amplitudes": [[3e300, 0.0], [0.0, 4e300]]}
+        with pytest.warns(UserWarning):
+            s = state_from_dict(doc, allow_unnormalized=True)
+        assert np.allclose(s.amplitudes, [0.6, 0.8j], atol=1e-15)
+        assert s.norm_factor == pytest.approx(5e300)
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
