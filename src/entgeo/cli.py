@@ -30,6 +30,7 @@ from .states import (
     CanonicalizationError,
     PureState,
     StateFormatError,
+    _normalize,
     apply_local_unitary,
     canonical_to_state,
     canonicalize,
@@ -70,12 +71,13 @@ def _builtin_state(name: str) -> PureState:
         except ValueError as exc:
             raise InputError(f"bad canonical parameter: {exc}") from None
         amp = np.array([a, b, c, d, h])
+        if not np.isfinite(amp).all() or not math.isfinite(gamma):
+            raise InputError(f"canonical builtin {name!r} has a non-finite value")
         if amp.min() < 0:
             raise InputError("canonical amplitudes must be nonnegative")
-        norm = np.linalg.norm(amp)
-        if norm < 1e-150:
-            raise InputError("canonical amplitudes are all zero")
-        amp = amp / norm
+        amp, norm = _normalize(amp)
+        if norm == 0.0:
+            raise InputError(f"canonical builtin {name!r} has all-zero amplitudes")
         return canonical_to_state(
             CanonicalParams(a=amp[0], b=amp[1], c=amp[2], d=amp[3], h=amp[4], gamma=gamma)
         )
@@ -99,10 +101,6 @@ def _solver_config(args) -> SolverConfig:
         tol=args.tol,
         seed=args.seed,
     )
-
-
-def _state_doc(s: PureState) -> dict:
-    return state_to_dict(s)
 
 
 def _spinor_doc(spinor) -> list:
@@ -208,7 +206,7 @@ def _cmd_canonicalize(args) -> int:
                 "d": params.d, "h": params.h, "gamma": params.gamma,
             },
             "infidelity": residual,
-            "canonical_state": _state_doc(canonical),
+            "canonical_state": state_to_dict(canonical),
             "unitaries": [
                 [_spinor_doc(row) for row in m] for m in lu.matrices
             ],

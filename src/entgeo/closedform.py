@@ -16,10 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .invariants import (
+    _bloch,
+    _correlation,
+    _sextic_t_trace,
     bloch_vector,
     correlation_matrix,
     invariant_set,
-    sextic_t_trace,
 )
 from .overlap import (
     SolverConfig,
@@ -56,7 +58,10 @@ class QuadrilateralParams:
 
     def __post_init__(self):
         for name in "abcd":
-            if getattr(self, name) < 0:
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ValueError(f"side {name} must be finite, got {v}")
+            if v < 0:
                 raise ValueError(f"side {name} must be nonnegative")
         if abs(self.a**2 + self.b**2 + self.c**2 + self.d**2 - 1.0) > 1e-12:
             raise ValueError("sides must satisfy a^2 + b^2 + c^2 + d^2 = 1")
@@ -322,12 +327,13 @@ class TheoremCheckReport:
     passed: bool
 
 
-def _zero_mode_residuals(state: PureState, vanishing: int) -> tuple[float, float]:
-    others = [q for q in range(3) if q != vanishing]
-    g = correlation_matrix(state, others[0], others[1])
-    b_first = bloch_vector(state, others[0])
-    b_second = bloch_vector(state, others[1])
-    return float(np.linalg.norm(g.T @ b_first)), float(np.linalg.norm(g @ b_second))
+def _zero_mode_residuals(tensors: np.ndarray, vanishing: int) -> tuple[np.ndarray, np.ndarray]:
+    """(S,) arrays |G^T b_first| and |G b_second| of a three-qubit batch."""
+    first, second = (q for q in range(3) if q != vanishing)
+    g = _correlation(tensors, first, second)
+    left = np.einsum("sji,sj->si", g, _bloch(tensors, first))
+    right = np.einsum("sij,sj->si", g, _bloch(tensors, second))
+    return np.linalg.norm(left, axis=1), np.linalg.norm(right, axis=1)
 
 
 def theorem_check(
@@ -354,7 +360,7 @@ def theorem_check(
     inv = invariant_set(state)
     lengths = np.array([inv.b_A, inv.b_B, inv.b_C])
     vanishing = int(np.argmin(lengths))
-    left, right = _zero_mode_residuals(state, vanishing)
+    left, right = _zero_mode_residuals(state.tensor[None], vanishing)
     numeric = nearest_product_state(state, solver).g_squared
     return TheoremCheckReport(
         params=p,
@@ -363,8 +369,8 @@ def theorem_check(
         vanishing_qubit=vanishing,
         min_bloch_length=float(lengths[vanishing]),
         t=inv.t,
-        left_zero_residual=left,
-        right_zero_residual=right,
+        left_zero_residual=float(left[0]),
+        right_zero_residual=float(right[0]),
         closed_form_g_squared=float(closed),
         numeric_g_squared=float(numeric),
         tolerance=tolerance,
@@ -433,48 +439,41 @@ def run_theorem_campaign(
     The solver runs all samples and restarts as one batch; samples whose
     error exceeds half the tolerance are re-solved individually with a larger
     budget before being declared failures.  Structure checks (t, zero modes,
-    singular values of G) run alongside.
+    singular values of G) run on the whole batch.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     family = ZeroBlochFamily(family)
     solver = solver or SolverConfig(restarts=16)
     rng = np.random.default_rng(seed)
     params = [_sample_zero_bloch(family, rng) for _ in range(n_samples)]
-    tensors = np.stack([canonical_to_state(p).tensor for p in params])
+    states = [canonical_to_state(p) for p in params]
+    tensors = np.stack([s.tensor for s in states])
     g2 = _solve_batch(tensors, solver)[0]
-
-    max_t = 0.0
-    max_zero = 0.0
-    max_sv = 0.0
-    failures = []
     retry = solver.escalated()
-    for i, p in enumerate(params):
-        state = canonical_to_state(p)
-        if abs(g2[i] - 0.5) > 0.5 * tolerance:
-            g2[i] = nearest_product_state(state, retry).g_squared
-        max_t = max(max_t, abs(sextic_t_trace(state)))
-        vanishing = 2  # both families have b_C = 0 by construction
-        left, right = _zero_mode_residuals(state, vanishing)
-        max_zero = max(max_zero, left, right)
-        if family is ZeroBlochFamily.H_NONZERO:
-            report = svd_branch_solutions(p)
-            numeric_sv = np.linalg.svd(
-                correlation_matrix(state, 0, 1), compute_uv=False
-            )
-            max_sv = max(max_sv, float(np.abs(numeric_sv - report.singular_values).max()))
-        if abs(g2[i] - 0.5) > tolerance:
-            failures.append(
-                CampaignFailure(index=i, params=p.as_tuple(), numeric_g_squared=float(g2[i]))
-            )
+    for i in np.flatnonzero(np.abs(g2 - 0.5) > 0.5 * tolerance):
+        g2[i] = nearest_product_state(states[i], retry).g_squared
+
+    left, right = _zero_mode_residuals(tensors, 2)  # both families have b_C = 0
+    max_sv = 0.0
+    if family is ZeroBlochFamily.H_NONZERO:
+        numeric_sv = np.linalg.svd(_correlation(tensors, 0, 1), compute_uv=False)
+        closed_sv = np.array([svd_branch_solutions(p).singular_values for p in params])
+        max_sv = float(np.abs(numeric_sv - closed_sv).max())
+    failures = tuple(
+        CampaignFailure(index=int(i), params=params[i].as_tuple(), numeric_g_squared=float(g2[i]))
+        for i in np.flatnonzero(np.abs(g2 - 0.5) > tolerance)
+    )
     return CampaignReport(
         family=family.value,
         samples=n_samples,
         seed=seed,
         tolerance=tolerance,
         max_g2_error=float(np.abs(g2 - 0.5).max()),
-        max_abs_t=max_t,
-        max_zero_mode_residual=max_zero,
+        max_abs_t=float(np.abs(_sextic_t_trace(tensors)).max()),
+        max_zero_mode_residual=float(max(left.max(), right.max())),
         max_singular_value_error=max_sv,
-        failures=tuple(failures),
+        failures=failures,
     )
 
 
@@ -623,6 +622,9 @@ def inverse_search(
     With ``include_controls`` a GHZ state and one sample from each zero-Bloch
     family are appended; they must appear among the hits.
     """
+    minimum = 0 if include_controls else 1  # at least one state to solve
+    if n_samples < minimum:
+        raise ValueError(f"n_samples must be at least {minimum}, got {n_samples}")
     solver = solver or SolverConfig(restarts=16)
     rng = np.random.default_rng(seed)
     states = [haar_random_state(3, rng) for _ in range(n_samples)]

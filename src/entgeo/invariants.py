@@ -13,16 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import CanonicalParams, PureState, _rho_pair, _rho_single
+from .states import CanonicalParams, PureState, _readonly, _rho
 
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
-
-PAULI_X.setflags(write=False)
-PAULI_Y.setflags(write=False)
-PAULI_Z.setflags(write=False)
+PAULIS = _readonly(
+    np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+)
 
 _T_CROSS_TOL = 1e-10
 
@@ -31,12 +26,36 @@ class InvariantConsistencyError(RuntimeError):
     """The two independent routes to the sextic invariant disagreed."""
 
 
+def _bloch(tensors: np.ndarray, q: int) -> np.ndarray:
+    """(S, 3) Bloch vectors tr(rho_q sigma_k) of qubit ``q`` of a batch."""
+    return np.einsum("sab,kba->sk", _rho(tensors, [q]), PAULIS).real
+
+
+def _correlation(tensors: np.ndarray, q1: int, q2: int) -> np.ndarray:
+    """(S, 3, 3) correlation matrices tr(rho_{q1 q2} sigma_i x sigma_j) of a batch."""
+    rho = _rho(tensors, [q1, q2]).reshape(-1, 2, 2, 2, 2)
+    return np.einsum("sabcd,ica,jdb->sij", rho, PAULIS, PAULIS).real
+
+
+def _sextic_t_trace(tensors: np.ndarray) -> np.ndarray:
+    """(S,) values of ``sextic_t_trace`` for a three-qubit batch."""
+    rho_a = _rho(tensors, [0])
+    rho_b = _rho(tensors, [1])
+    rho_a_rho_b = np.einsum("sac,sbd->sabcd", rho_a, rho_b).reshape(-1, 4, 4)
+    value = (
+        3.0 * np.trace(_rho(tensors, [0, 1]) @ rho_a_rho_b, axis1=1, axis2=2)
+        - np.trace(rho_a @ rho_a @ rho_a, axis1=1, axis2=2)
+        - np.trace(rho_b @ rho_b @ rho_b, axis1=1, axis2=2)
+        - 0.25
+    )
+    return value.real
+
+
 def bloch_vector(s: PureState, q: int) -> np.ndarray:
     """(tr rho sigma_x, tr rho sigma_y, tr rho sigma_z) of qubit ``q``."""
     if not 0 <= q < s.n_qubits:
         raise ValueError(f"qubit index {q} out of range")
-    rho = _rho_single(s.tensor, q)
-    return np.array([np.trace(rho @ p).real for p in PAULIS])
+    return _bloch(s.tensor[None], q)[0]
 
 
 def bloch_length(s: PureState, q: int) -> float:
@@ -50,12 +69,7 @@ def correlation_matrix(s: PureState, q1: int, q2: int) -> np.ndarray:
     for q in (q1, q2):
         if not 0 <= q < s.n_qubits:
             raise ValueError(f"qubit index {q} out of range")
-    rho = _rho_pair(s.tensor, q1, q2)
-    g = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            g[i, j] = np.trace(rho @ np.kron(PAULIS[i], PAULIS[j])).real
-    return g
+    return _correlation(s.tensor[None], q1, q2)[0]
 
 
 def sextic_t_trace(s: PureState) -> float:
@@ -64,17 +78,7 @@ def sextic_t_trace(s: PureState) -> float:
     """
     if s.n_qubits != 3:
         raise ValueError("the sextic invariant is defined for three-qubit states")
-    t = s.tensor
-    rho_a = _rho_single(t, 0)
-    rho_b = _rho_single(t, 1)
-    rho_ab = _rho_pair(t, 0, 1)
-    value = (
-        3.0 * np.trace(rho_ab @ np.kron(rho_a, rho_b))
-        - np.trace(rho_a @ rho_a @ rho_a)
-        - np.trace(rho_b @ rho_b @ rho_b)
-        - 0.25
-    )
-    return float(value.real)
+    return float(_sextic_t_trace(s.tensor[None])[0])
 
 
 def sextic_t_bloch(s: PureState) -> float:
@@ -84,32 +88,27 @@ def sextic_t_bloch(s: PureState) -> float:
     return float(0.75 * bloch_vector(s, 0) @ (correlation_matrix(s, 0, 1) @ bloch_vector(s, 1)))
 
 
+def _three_tangle(tensors: np.ndarray) -> np.ndarray:
+    """(S,) values of ``three_tangle`` for a three-qubit batch.
+
+    Cayley's hyperdeterminant is the discriminant of the binary quadratic
+    det(x a[0] + y a[1]) = x^2 det a[0] + x y m + y^2 det a[1].
+    """
+    a, b = tensors[:, 0], tensors[:, 1]
+    det_a = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+    det_b = b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]
+    m = a[:, 0, 0] * b[:, 1, 1] + b[:, 0, 0] * a[:, 1, 1]
+    m = m - a[:, 0, 1] * b[:, 1, 0] - b[:, 0, 1] * a[:, 1, 0]
+    return 4.0 * np.abs(m**2 - 4.0 * det_a * det_b)
+
+
 def three_tangle(s: PureState) -> float:
-    """Three-tangle via the degree-4 hyperdeterminant of the amplitude tensor,
-    tau = 4 |d1 - 2 d2 + 4 d3|; equals 1 on GHZ and 0 on W.
+    """Three-tangle 4 |Det a|, with Det the degree-4 (Cayley) hyperdeterminant
+    of the amplitude tensor; equals 1 on GHZ and 0 on W.
     """
     if s.n_qubits != 3:
         raise ValueError("the three-tangle is defined for three-qubit states")
-    a = s.tensor
-    d1 = (
-        a[0, 0, 0] ** 2 * a[1, 1, 1] ** 2
-        + a[0, 0, 1] ** 2 * a[1, 1, 0] ** 2
-        + a[0, 1, 0] ** 2 * a[1, 0, 1] ** 2
-        + a[1, 0, 0] ** 2 * a[0, 1, 1] ** 2
-    )
-    d2 = (
-        a[0, 0, 0] * a[1, 1, 1] * a[0, 1, 1] * a[1, 0, 0]
-        + a[0, 0, 0] * a[1, 1, 1] * a[1, 0, 1] * a[0, 1, 0]
-        + a[0, 0, 0] * a[1, 1, 1] * a[1, 1, 0] * a[0, 0, 1]
-        + a[0, 1, 1] * a[1, 0, 0] * a[1, 0, 1] * a[0, 1, 0]
-        + a[0, 1, 1] * a[1, 0, 0] * a[1, 1, 0] * a[0, 0, 1]
-        + a[1, 0, 1] * a[0, 1, 0] * a[1, 1, 0] * a[0, 0, 1]
-    )
-    d3 = (
-        a[0, 0, 0] * a[1, 1, 0] * a[1, 0, 1] * a[0, 1, 1]
-        + a[1, 1, 1] * a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 0]
-    )
-    return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))
+    return float(_three_tangle(s.tensor[None])[0])
 
 
 def three_tangle_canonical(p: CanonicalParams) -> float:

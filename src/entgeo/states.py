@@ -88,12 +88,15 @@ def _normalize(amps: np.ndarray) -> tuple[np.ndarray, float]:
     """(amps / |amps|, |amps|) for a finite vector, (amps, 0.0) for a zero one.
 
     Dividing by the largest magnitude first keeps huge entries from
-    overflowing the norm.
+    overflowing the norm.  The real and imaginary parts are divided as reals:
+    numpy's complex division overflows when that magnitude is subnormal.
     """
     scale = float(np.abs(amps).max())
     if scale == 0.0:
         return amps, 0.0
-    scaled = amps / scale
+    scaled = amps.real / scale
+    if np.iscomplexobj(amps):
+        scaled = scaled + 1j * (amps.imag / scale)
     length = float(np.linalg.norm(scaled))
     return scaled / length, scale * length
 
@@ -161,6 +164,9 @@ class CanonicalParams:
 
     def __post_init__(self):
         vals = (self.a, self.b, self.c, self.d, self.h)
+        for name, v in zip(("a", "b", "c", "d", "h", "gamma"), vals + (self.gamma,)):
+            if not math.isfinite(v):
+                raise ValueError(f"canonical parameter {name} must be finite, got {v}")
         for name, v in zip("abcdh", vals):
             if v < -NORM_ATOL:
                 raise ValueError(f"canonical amplitude {name} must be nonnegative, got {v}")
@@ -197,9 +203,11 @@ class LocalUnitary:
 
     def __post_init__(self):
         mats = tuple(_readonly(np.asarray(m, dtype=complex)) for m in self.matrices)
-        for m in mats:
+        for i, m in enumerate(mats):
             if m.shape != (2, 2):
                 raise ValueError("each local unitary must be a 2x2 matrix")
+            if not np.isfinite(m).all():
+                raise ValueError(f"matrices[{i}] is not finite")
             if np.abs(m @ m.conj().T - np.eye(2)).max() > NORM_ATOL:
                 raise ValueError("matrix is not unitary within 1e-12")
         object.__setattr__(self, "matrices", mats)
@@ -231,9 +239,7 @@ def apply_local_unitary(s: PureState, u: LocalUnitary) -> PureState:
     if u.n_qubits != s.n_qubits:
         raise ValueError(f"state has {s.n_qubits} qubits but {u.n_qubits} unitaries were given")
     t = s.tensor
-    for q, m in enumerate(u.matrices):
-        if np.abs(m @ m.conj().T - np.eye(2)).max() > 1e-10:
-            raise ValueError("matrix is not unitary within 1e-10")
+    for q, m in enumerate(u.matrices):  # finite and unitary, checked by LocalUnitary
         t = np.moveaxis(np.tensordot(m, np.moveaxis(t, q, 0), axes=(1, 0)), 0, q)
     amps = t.reshape(-1)
     amps = amps / np.linalg.norm(amps)  # scrub rounding drift, the map is norm-preserving
@@ -278,21 +284,20 @@ class DensityMatrix:
         return float(np.trace(self.matrix @ self.matrix).real)
 
 
-def _rho_single(tensor: np.ndarray, q: int) -> np.ndarray:
-    m = np.moveaxis(tensor, q, 0).reshape(2, -1)
-    return m @ m.conj().T
-
-
-def _rho_pair(tensor: np.ndarray, q1: int, q2: int) -> np.ndarray:
-    m = np.moveaxis(tensor, (q1, q2), (0, 1)).reshape(4, -1)
-    return m @ m.conj().T
+def _rho(tensors: np.ndarray, qubits) -> np.ndarray:
+    """(S, 2**k, 2**k) reduced density matrices of the k listed qubits of an
+    (S, 2, ..., 2) batch; the first listed qubit is the most significant."""
+    k = len(qubits)
+    m = np.moveaxis(tensors, [1 + q for q in qubits], range(1, k + 1))
+    m = m.reshape(len(tensors), 2**k, -1)
+    return m @ m.conj().transpose(0, 2, 1)
 
 
 def partial_trace_single(s: PureState, q: int) -> DensityMatrix:
     """Reduced density matrix of qubit ``q``."""
     if not 0 <= q < s.n_qubits:
         raise ValueError(f"qubit index {q} out of range")
-    return DensityMatrix(_rho_single(s.tensor, q))
+    return DensityMatrix(_rho(s.tensor[None], [q])[0])
 
 
 def partial_trace_pair(s: PureState, q1: int, q2: int) -> DensityMatrix:
@@ -302,7 +307,7 @@ def partial_trace_pair(s: PureState, q1: int, q2: int) -> DensityMatrix:
     for q in (q1, q2):
         if not 0 <= q < s.n_qubits:
             raise ValueError(f"qubit index {q} out of range")
-    return DensityMatrix(_rho_pair(s.tensor, q1, q2))
+    return DensityMatrix(_rho(s.tensor[None], [q1, q2])[0])
 
 
 # --------------------------------------------------------------------------
@@ -373,9 +378,11 @@ class ProductState:
 
     def __post_init__(self):
         sps = tuple(_readonly(np.asarray(s, dtype=complex).reshape(-1)) for s in self.spinors)
-        for sp in sps:
+        for i, sp in enumerate(sps):
             if sp.size != 2:
                 raise ValueError("each spinor must have 2 components")
+            if not np.isfinite(sp).all():
+                raise ValueError(f"spinors[{i}] is not finite")
             if abs(np.linalg.norm(sp) - 1.0) > NORM_ATOL:
                 raise ValueError("spinor is not normalized within 1e-12")
         object.__setattr__(self, "spinors", sps)

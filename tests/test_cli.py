@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -16,6 +17,20 @@ def run_cli(capsys, *argv):
 
 
 class TestInvariantsCommand:
+    def test_huge_canonical_builtin(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(capsys, "invariants", "--builtin",
+                                   "canonical:1e200,1e200,0,0,0,0", "--format", "structured")
+        assert code == 0
+        assert json.loads(out)["b_C"] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["canonical:nan,1,0,0,0,0", "canonical:1,0,0,0,0,inf"])
+    def test_non_finite_canonical_builtin_exit_2(self, capsys, name):
+        code, _, err = run_cli(capsys, "invariants", "--builtin", name)
+        assert code == 2
+        assert name in err
+
     def test_ghz_builtin(self, capsys):
         code, out, _ = run_cli(capsys, "invariants", "--builtin", "ghz",
                                "--format", "structured")
@@ -147,6 +162,12 @@ class TestVerifyTheoremCommand:
             assert r["passed"] is True
             assert r["max_g2_error"] <= 1e-7
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_bad_sample_count_exit_2(self, capsys, count):
+        code, _, err = run_cli(capsys, "verify-theorem", "--samples", count)
+        assert code == 2
+        assert f"n_samples must be at least 1, got {count}" in err
+
     def test_impossible_tolerance_exits_1(self, capsys):
         code, out, _ = run_cli(capsys, "verify-theorem", "--family", "h-nonzero",
                                "--samples", "20", "--seed", "1", "--tol", "1e-17")
@@ -209,6 +230,11 @@ class TestInverseSearchCommand:
         doc = json.loads(out)
         controls = [h for h in doc["hits"] if h["is_control"]]
         assert len(controls) == 3
+
+    def test_negative_sample_count_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "inverse-search", "--samples", "-3")
+        assert code == 2
+        assert "n_samples must be at least 0, got -3" in err
 
     def test_deterministic(self, capsys):
         args = ("inverse-search", "--samples", "10", "--seed", "4",

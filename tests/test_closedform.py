@@ -15,6 +15,7 @@ from entgeo import (
     ghz_overlap,
     ghz_theta_state,
     bloch_vector,
+    haar_random_state,
     correlation_matrix,
     inverse_search,
     nearest_product_state,
@@ -26,13 +27,24 @@ from entgeo import (
     random_feasible_quadrilateral,
     run_theorem_campaign,
     sample_zero_bloch_manifold,
+    sextic_t_trace,
     svd_branch_solutions,
     theorem_check,
     wn_overlap,
     wn_state,
 )
+from entgeo.closedform import _zero_mode_residuals
 
 FAST = SolverConfig(restarts=16)
+
+
+class TestQuadrilateralParams:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_side_named(self, bad):
+        with pytest.raises(ValueError, match="side c must be finite"):
+            QuadrilateralParams(0.5, 0.5, bad, 0.5)
+        with pytest.raises(ValueError, match="side a must be finite"):
+            QuadrilateralParams(bad, bad, bad, bad)
 
 
 class TestQuadrilateralOverlap:
@@ -242,6 +254,41 @@ class TestTheoremCheck:
             assert doc["samples"] == 200
             assert doc["failures"] == []
 
+    def test_zero_mode_residuals_batch_equals_batch_of_one(self):
+        states = [canonical_to_state(sample_zero_bloch_manifold(f, seed=k))
+                  for f in ("quadrilateral", "h-nonzero") for k in range(4)]
+        states += [haar_random_state(3, seed=k) for k in range(4)]
+        tensors = np.stack([s.tensor for s in states])
+        for vanishing in range(3):
+            left, right = _zero_mode_residuals(tensors, vanishing)
+            assert left.shape == right.shape == (len(states),)
+            for i, s in enumerate(states):
+                one_left, one_right = _zero_mode_residuals(s.tensor[None], vanishing)
+                assert left[i] == pytest.approx(one_left[0], abs=1e-15)
+                assert right[i] == pytest.approx(one_right[0], abs=1e-15)
+
+    def test_campaign_matches_per_sample_recomputation(self):
+        report = run_theorem_campaign("h-nonzero", 50, seed=5)
+        rng = np.random.default_rng(5)
+        max_t = max_zero = max_sv = 0.0
+        for _ in range(50):
+            p = sample_zero_bloch_manifold("h-nonzero", seed=rng)
+            s = canonical_to_state(p)
+            g = correlation_matrix(s, 0, 1)
+            max_t = max(max_t, abs(sextic_t_trace(s)))
+            max_zero = max(max_zero, np.linalg.norm(g.T @ bloch_vector(s, 0)),
+                           np.linalg.norm(g @ bloch_vector(s, 1)))
+            sv = np.linalg.svd(g, compute_uv=False)
+            max_sv = max(max_sv, np.abs(sv - svd_branch_solutions(p).singular_values).max())
+        assert report.max_abs_t == pytest.approx(max_t, abs=1e-15)
+        assert report.max_zero_mode_residual == pytest.approx(max_zero, abs=1e-15)
+        assert report.max_singular_value_error == pytest.approx(max_sv, abs=1e-15)
+
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_campaign_sample_count_validated(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples"):
+            run_theorem_campaign("quadrilateral", n_samples)
+
     def test_campaign_deterministic(self):
         a = run_theorem_campaign("quadrilateral", n_samples=50, seed=3)
         b = run_theorem_campaign("quadrilateral", n_samples=50, seed=3)
@@ -366,3 +413,13 @@ class TestInverseSearch:
         assert doc["n_hits"] == len(doc["hits"])
         if doc["hits"]:
             assert set(doc["min_bloch_quantiles"]) == {"q00", "q25", "q50", "q75", "q100"}
+
+    def test_sample_count_validated(self):
+        with pytest.raises(ValueError, match="n_samples must be at least 0, got -1"):
+            inverse_search(-1)
+        with pytest.raises(ValueError, match="n_samples must be at least 1, got 0"):
+            inverse_search(0, include_controls=False)
+
+    def test_controls_alone(self):
+        report = inverse_search(0, seed=4)
+        assert [h.is_control for h in report.hits] == [True, True, True]

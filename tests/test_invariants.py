@@ -27,8 +27,40 @@ from entgeo import (
     three_tangle_canonical,
     w_state,
 )
+from entgeo.invariants import _bloch, _correlation, _sextic_t_trace, _three_tangle
+
+from oracles import dense_rho_pair, dense_rho_single
 
 SQ2 = math.sqrt(2.0)
+# written out here rather than taken from the library
+SIGMAS = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def cayley_tangle(a):
+    """4 |d1 - 2 d2 + 4 d3|: the hyperdeterminant expanded term by term."""
+    d1 = (
+        a[0, 0, 0] ** 2 * a[1, 1, 1] ** 2
+        + a[0, 0, 1] ** 2 * a[1, 1, 0] ** 2
+        + a[0, 1, 0] ** 2 * a[1, 0, 1] ** 2
+        + a[1, 0, 0] ** 2 * a[0, 1, 1] ** 2
+    )
+    d2 = (
+        a[0, 0, 0] * a[1, 1, 1] * a[0, 1, 1] * a[1, 0, 0]
+        + a[0, 0, 0] * a[1, 1, 1] * a[1, 0, 1] * a[0, 1, 0]
+        + a[0, 0, 0] * a[1, 1, 1] * a[1, 1, 0] * a[0, 0, 1]
+        + a[0, 1, 1] * a[1, 0, 0] * a[1, 0, 1] * a[0, 1, 0]
+        + a[0, 1, 1] * a[1, 0, 0] * a[1, 1, 0] * a[0, 0, 1]
+        + a[1, 0, 1] * a[0, 1, 0] * a[1, 1, 0] * a[0, 0, 1]
+    )
+    d3 = (
+        a[0, 0, 0] * a[1, 1, 0] * a[1, 0, 1] * a[0, 1, 1]
+        + a[1, 1, 1] * a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 0]
+    )
+    return 4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3)
 
 
 def random_canonical_params(rng):
@@ -101,6 +133,54 @@ class TestCorrelationMatrix:
             p = random_canonical_params(rng)
             g = correlation_matrix(canonical_to_state(p), 0, 1)
             assert np.abs(g - canonical_correlation_matrix(p)).max() < 1e-12
+
+
+class TestBatchedKernels:
+    """Every row of a batched kernel against the dense oracle of its state."""
+
+    def haar_batch(self, n, count=6):
+        states = [haar_random_state(n, seed=100 * n + k) for k in range(count)]
+        return states, np.stack([s.tensor for s in states])
+
+    def test_bloch_rows_match_dense_oracle(self):
+        states, tensors = self.haar_batch(4)
+        for q in range(4):
+            rows = _bloch(tensors, q)
+            assert rows.shape == (len(states), 3)
+            for s, row in zip(states, rows):
+                rho = dense_rho_single(s.amplitudes, 4, q)
+                expect = [np.trace(rho @ p).real for p in SIGMAS]
+                assert np.abs(row - expect).max() < 1e-12
+
+    def test_correlation_rows_match_dense_oracle_every_ordered_pair(self):
+        states, tensors = self.haar_batch(4)
+        for q1 in range(4):
+            for q2 in range(4):
+                if q1 == q2:
+                    continue
+                rows = _correlation(tensors, q1, q2)
+                assert rows.shape == (len(states), 3, 3)
+                for s, row in zip(states, rows):
+                    rho = dense_rho_pair(s.amplitudes, 4, q1, q2)
+                    expect = [[np.trace(rho @ np.kron(pi, pj)).real for pj in SIGMAS]
+                              for pi in SIGMAS]
+                    assert np.abs(row - expect).max() < 1e-12
+
+    def test_sextic_t_trace_rows_match_bloch_form(self):
+        states, tensors = self.haar_batch(3, count=20)
+        rows = _sextic_t_trace(tensors)
+        assert rows.shape == (20,)
+        for s, t in zip(states, rows):
+            assert t == pytest.approx(sextic_t_bloch(s), abs=1e-12)
+
+    def test_three_tangle_rows_match_cayley_expansion(self):
+        states, tensors = self.haar_batch(3, count=20)
+        states += [ghz_state(3), w_state(3)]
+        tensors = np.concatenate([tensors, [ghz_state(3).tensor, w_state(3).tensor]])
+        rows = _three_tangle(tensors)
+        assert rows.shape == (22,)
+        for s, tau in zip(states, rows):
+            assert tau == pytest.approx(cayley_tangle(s.tensor), abs=1e-12)
 
 
 class TestSexticInvariant:

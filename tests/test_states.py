@@ -82,6 +82,12 @@ class TestMakeState:
         s = make_state(2, [1e308] * 4)
         assert np.allclose(s.amplitudes, [0.5] * 4, atol=1e-15)
 
+    def test_subnormal_amplitudes_normalized(self):
+        s = make_state(3, [5e-324] + [0] * 7)
+        assert np.array_equal(s.amplitudes, basis_state(3, 0).amplitudes)
+        s = make_state(1, [1e-310 + 1e-310j, 0])
+        assert np.allclose(s.amplitudes, [(1 + 1j) / SQ2, 0], atol=1e-15)
+
 
 class TestCanonicalToState:
     def test_ghz(self):
@@ -112,6 +118,15 @@ class TestCanonicalToState:
             CanonicalParams(a=0.9, b=0, c=0, d=0.9, h=0.0)
         with pytest.raises(ValueError):
             CanonicalParams(a=0, b=0, c=0, d=1.0, h=0.0, gamma=2.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_params_named(self, bad):
+        with pytest.raises(ValueError, match="canonical parameter a must be finite"):
+            CanonicalParams(bad, 0, 0, 1, 0)
+        with pytest.raises(ValueError, match="canonical parameter h must be finite"):
+            CanonicalParams(0, 0, 0, 1, bad)
+        with pytest.raises(ValueError, match="canonical parameter gamma must be finite"):
+            CanonicalParams(0, 0, 0, 1, 0, gamma=bad)
 
 
 class TestLocalUnitary:
@@ -144,6 +159,11 @@ class TestLocalUnitary:
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
             LocalUnitary((np.array([[1, 1], [0, 1]], dtype=complex),))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_matrix_named(self, bad):
+        with pytest.raises(ValueError, match=r"matrices\[1\] is not finite"):
+            LocalUnitary((np.eye(2), np.array([[bad, 0], [0, 1]])))
 
 
 class TestPartialTraces:
@@ -286,6 +306,11 @@ class TestProductOverlap:
     def test_unnormalized_spinor_rejected(self):
         with pytest.raises(ValueError):
             ProductState((np.array([1.0, 1.0]),))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_spinor_named(self, bad):
+        with pytest.raises(ValueError, match=r"spinors\[0\] is not finite"):
+            ProductState((np.array([bad, 1.0]),))
 
 
 class TestPermuteQubits:
