@@ -1,19 +1,21 @@
 """Batched rank-1 power iteration on dense qubit amplitude tensors.
 
 This is the workhorse behind the maximal-product-overlap solver and the
-canonical-form search: cycling over qubits, each local spinor is replaced by
-the normalized contraction of the state against all other current spinors,
-which is monotonically non-decreasing in the overlap.  Many independent
-restarts (and many independent states) are iterated simultaneously as one
-flat batch; a restart freezes once its squared overlap changes by less than
-``tol`` in a full sweep.
+canonical-form search (ALS/HOPM, De Lathauwer, De Moor and Vandewalle, SIAM J.
+Matrix Anal. Appl. 21, 2000): cycling over qubits, each local spinor is
+replaced by the normalized contraction of the state against all other current
+spinors, which is monotonically non-decreasing in the overlap.  Each
+contraction is a chain of two-term products, one qubit axis at a time, on
+right environments cached once per sweep.  Many independent restarts (and
+many independent states) are iterated simultaneously as one flat batch; a
+restart freezes once its squared overlap changes by less than ``tol`` in a
+full sweep.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_AXES = "abcdefgh"  # one contraction axis per qubit, up to 8 qubits
 _POLISH_STEPS = 12
 
 
@@ -27,38 +29,25 @@ def haar_bloch_spinors(rng: np.random.Generator, shape) -> np.ndarray:
     )
 
 
-def _subscripts(n: int) -> list[str]:
-    # update rule for qubit q: v = einsum('p<all axes>, p<other axes>... -> p<axis q>')
-    subs = []
-    for q in range(n):
-        operands = ["p" + _AXES[:n]] + ["p" + _AXES[k] for k in range(n) if k != q]
-        subs.append(",".join(operands) + "->p" + _AXES[q])
-    return subs
-
-
 def _initial_spinors(psis: np.ndarray, restarts: int, seed) -> list[np.ndarray]:
     """Per-qubit start batches of shape (S, restarts + 1, 2).
 
-    The first ``restarts`` columns are Haar-random; each restart index draws
-    from its own spawned sub-seed so results do not depend on execution order.
-    The last column is the deterministic start at the largest-magnitude
-    computational basis amplitude of each state.
+    The first ``restarts`` columns are Haar-random, drawn in one call from one
+    generator seeded with ``seed``, so they depend only on the seed and the
+    batch shape, not on execution order.  The last column is the
+    deterministic start at the largest-magnitude computational basis
+    amplitude of each state.
     """
     n = psis.ndim - 1
     n_states = psis.shape[0]
-    children = np.random.SeedSequence(seed).spawn(restarts)
-    spinors = [np.empty((n_states, restarts + 1, 2), dtype=complex) for _ in range(n)]
-    for r, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        for q in range(n):
-            spinors[q][:, r, :] = haar_bloch_spinors(rng, (n_states,))
+    spinors = np.zeros((n, n_states, restarts + 1, 2), dtype=complex)
+    spinors[:, :, :restarts] = haar_bloch_spinors(
+        np.random.default_rng(seed), (n, n_states, restarts)
+    )
     flat_index = np.argmax(np.abs(psis.reshape(n_states, -1)), axis=1)
-    for q in range(n):
-        bit = (flat_index >> (n - 1 - q)) & 1
-        basis = np.zeros((n_states, 2), dtype=complex)
-        basis[np.arange(n_states), bit] = 1.0
-        spinors[q][:, -1, :] = basis
-    return spinors
+    bits = (flat_index >> (n - 1 - np.arange(n))[:, None]) & 1
+    spinors[np.arange(n)[:, None], np.arange(n_states), -1, bits] = 1.0
+    return list(spinors)
 
 
 def power_iteration(
@@ -78,7 +67,7 @@ def power_iteration(
     max_iterations : sweep cap per run.
     tol : freeze a run once its per-sweep change in squared overlap drops
         below this.
-    seed : anything acceptable to ``numpy.random.SeedSequence``.
+    seed : anything acceptable to ``numpy.random.default_rng``.
 
     Returns
     -------
@@ -89,14 +78,10 @@ def power_iteration(
     n_states = psis.shape[0]
     n_runs = restarts + 1
     spinors = _initial_spinors(psis, restarts, seed)
-    subs = _subscripts(n)
-    psi_conj = np.repeat(psis.conj()[:, None], n_runs, axis=1).reshape(
-        n_states * n_runs, *psis.shape[1:]
-    )
 
     total = n_states * n_runs
     cur = [s.reshape(total, 2).copy() for s in spinors]
-    cur_psi = psi_conj
+    cur_psi = np.repeat(psis.conj().reshape(n_states, 1, -1), n_runs, axis=1).reshape(total, -1)
     cur_g2 = np.zeros(total)
     index = np.arange(total)
 
@@ -106,10 +91,16 @@ def power_iteration(
     out_sp = [np.empty((total, 2), dtype=complex) for _ in range(n)]
 
     for sweep in range(1, max_iterations + 1):
+        rows = index.size
+        # right[q]: conj(psi) contracted with the spinors of qubits q+1..n-1, (rows, 2**(q+1))
+        right = [None] * (n - 1) + [cur_psi]
+        for q in range(n - 1, 0, -1):
+            right[q - 1] = np.einsum("tmi,ti->tm", right[q].reshape(rows, -1, 2), cur[q])
         norm = None
         for q in range(n):
-            operands = [cur_psi] + [cur[k] for k in range(n) if k != q]
-            v = np.einsum(subs[q], *operands)
+            v = right[q]
+            for k in range(q):  # the spinors of qubits 0..q-1 are already updated
+                v = np.einsum("tim,ti->tm", v.reshape(rows, 2, -1), cur[k])
             norm = np.linalg.norm(v, axis=-1)
             safe = norm > 1e-300
             cur[q] = np.where(safe[:, None], v.conj() / np.where(safe, norm, 1.0)[:, None], cur[q])

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -464,9 +465,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses; parsing does not modify it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (InputError, StateFormatError, InfeasibleQuadrilateralError, OSError,

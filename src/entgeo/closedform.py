@@ -227,6 +227,13 @@ class BranchReport:
     final_g_squared: float
 
 
+def _g_singular_values(a, b, h) -> np.ndarray:
+    """Singular values (2 mu, 2ab, 0) of G on the c = 0 family, mu =
+    hypot(h, a) hypot(h, b); shape (..., 3) for (...)-shaped a, b, h."""
+    mu = np.hypot(h, a) * np.hypot(h, b)
+    return np.stack([2.0 * mu, 2.0 * a * b, np.zeros_like(mu)], axis=-1)
+
+
 def svd_branch_solutions(p: CanonicalParams, constraint_tol: float = 1e-10) -> BranchReport:
     """Solve the stationarity equations on the c = 0, d^2 = a^2 + b^2 + h^2 family.
 
@@ -248,7 +255,7 @@ def svd_branch_solutions(p: CanonicalParams, constraint_tol: float = 1e-10) -> B
     beta = math.atan2(h, b)
     b_a = 2.0 * a * math.hypot(h, a)
     b_b = 2.0 * b * math.hypot(h, b)
-    mu = math.hypot(h, a) * math.hypot(h, b)
+    singular_values = _g_singular_values(a, b, h)
     u = np.array(
         [
             [math.cos(alpha), 0.0, math.sin(alpha)],
@@ -263,8 +270,6 @@ def svd_branch_solutions(p: CanonicalParams, constraint_tol: float = 1e-10) -> B
             [-math.sin(beta), 0.0, math.cos(beta)],
         ]
     )
-    singular_values = np.array([2.0 * mu, 2.0 * a * b, 0.0])
-
     state = canonical_to_state(p)
     bloch_a = bloch_vector(state, 0)
     bloch_b = bloch_vector(state, 1)
@@ -288,7 +293,7 @@ def svd_branch_solutions(p: CanonicalParams, constraint_tol: float = 1e-10) -> B
         params=p,
         bloch_a_length=b_a,
         bloch_b_length=b_b,
-        mu=mu,
+        mu=float(singular_values[0] / 2.0),
         u_matrix=u,
         v_matrix=v,
         singular_values=singular_values,
@@ -458,7 +463,8 @@ def run_theorem_campaign(
     max_sv = 0.0
     if family is ZeroBlochFamily.H_NONZERO:
         numeric_sv = np.linalg.svd(_correlation(tensors, 0, 1), compute_uv=False)
-        closed_sv = np.array([svd_branch_solutions(p).singular_values for p in params])
+        a, b, _, _, h, _ = np.array([p.as_tuple() for p in params]).T
+        closed_sv = _g_singular_values(a, b, h)
         max_sv = float(np.abs(numeric_sv - closed_sv).max())
     failures = tuple(
         CampaignFailure(index=int(i), params=params[i].as_tuple(), numeric_g_squared=float(g2[i]))

@@ -576,16 +576,19 @@ def canonicalize(s: PureState, restarts: int = 32, seed=0) -> tuple[CanonicalPar
     """Find local unitaries taking a three-qubit state to its canonical form.
 
     Every stationary product state of the overlap with nonzero value yields a
-    representative; the search runs ``restarts`` random starts plus one basis
-    start, Newton-polishes each converged branch, and among all
-    representatives reaching a residual of 1e-9 returns the lexicographically
-    largest (d, h, a, b, c), breaking remaining ties toward gamma >= 0.
+    representative; the search runs ``restarts`` random starts (an integer
+    >= 0) plus one basis start, Newton-polishes each converged branch, and
+    among all representatives reaching a residual of 1e-9 returns the
+    lexicographically largest (d, h, a, b, c), breaking remaining ties toward
+    gamma >= 0.
 
     The returned unitaries map ``s`` onto ``canonical_to_state(params)``
     exactly (global phase included).
     """
     if s.n_qubits != 3:
         raise ValueError("canonicalization is defined for three-qubit states")
+    if isinstance(restarts, bool) or not isinstance(restarts, (int, np.integer)) or restarts < 0:
+        raise ValueError(f"restarts must be an integer >= 0, got {restarts!r}")
     tensor = s.tensor
     run = _als.power_iteration(
         tensor[None], restarts=restarts, max_iterations=_CANON_MAX_ITERATIONS, tol=1e-15,

@@ -117,6 +117,16 @@ class TestContracts:
         g2 = nearest_product_state(s, SolverConfig(restarts=32)).g_squared
         assert p.d**2 == pytest.approx(g2, abs=1e-9)
 
+    @pytest.mark.parametrize("restarts", [-1, 2.5, True, "4"])
+    def test_restarts_validated(self, restarts):
+        with pytest.raises(ValueError, match="restarts"):
+            canonicalize(ghz_state(3), restarts=restarts)
+
+    def test_basis_start_only(self):
+        p, lu = canonicalize(ghz_state(3), restarts=0)
+        assert p.d == pytest.approx(1 / SQ2, abs=1e-7)
+        assert reconstruction_infidelity(ghz_state(3), p, lu) < 1e-8
+
     def test_deterministic(self):
         s = haar_random_state(3, seed=8)
         p1, _ = canonicalize(s, seed=5)

@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from entgeo import ghz_state, save_state, state_from_dict
+from entgeo import cli, ghz_state, save_state, state_from_dict
 from entgeo.cli import main
 
 
@@ -141,6 +141,12 @@ class TestCanonicalizeCommand:
         assert doc["params"]["h"] == pytest.approx(1 / math.sqrt(2), abs=1e-6)
         assert doc["infidelity"] < 1e-8
 
+    def test_negative_restarts_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "canonicalize", "--builtin", "ghz", "--restarts", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: restarts must be an integer >= 0, got -1\n"
+
     def test_round_trips_through_state_format(self, capsys):
         code, out, _ = run_cli(capsys, "canonicalize", "--builtin", "w",
                                "--format", "structured")
@@ -242,3 +248,26 @@ class TestInverseSearchCommand:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+
+class TestParserReuse:
+    CALLS = (
+        ("overlap", "--builtin", "w", "--restarts", "4", "--seed", "3",
+         "--format", "structured"),
+        ("invariants", "--builtin", "ghz", "--format", "structured"),
+        ("canonicalize", "--builtin", "ghz", "--restarts", "-1"),
+        ("overlap", "--builtin", "w", "--format", "structured"),
+        ("canonicalize", "--builtin", "w"),
+        ("invariants", "--builtin", "canonical:1,0,0,0,0"),
+    )
+
+    def test_reused_parser_matches_fresh(self, capsys):
+        fresh = []
+        for argv in self.CALLS:
+            cli._parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        cli._parser.cache_clear()
+        reused = [run_cli(capsys, *argv) for argv in self.CALLS]
+        assert cli._parser.cache_info().misses == 1
+        assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 0, 2]
+        assert reused == fresh

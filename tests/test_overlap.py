@@ -272,6 +272,68 @@ def _fd_jacobian(psi_conj, spinors, step):
     return jac
 
 
+def _einsum_run(psi_conj, spinors, max_iterations, tol):
+    """One run of power_iteration as the n-operand einsum update, written out."""
+    n = psi_conj.ndim
+    axes = "abcdefgh"[:n]
+    spinors = list(spinors)
+    g2 = 0.0
+    for sweep in range(1, max_iterations + 1):
+        for q in range(n):
+            others = [k for k in range(n) if k != q]
+            subscripts = ",".join([axes] + [axes[k] for k in others]) + "->" + axes[q]
+            v = np.einsum(subscripts, psi_conj, *[spinors[k] for k in others])
+            norm = np.linalg.norm(v)
+            spinors[q] = v.conj() / norm
+        converged = abs(norm**2 - g2) < tol
+        g2 = norm**2
+        if converged:
+            break
+    return g2, spinors, sweep, converged
+
+
+class TestSweepKernel:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_sweeps_match_einsum_formula(self, n):
+        states = [haar_random_state(n, seed=10 * n + k) for k in range(3)]
+        states.append(apply_local_unitary(ghz_state(n), LocalUnitary.random(n, seed=n)))
+        states.append(w_state(n))
+        states.append(basis_state(n, 2**n - 2))
+        psis = np.stack([s.tensor for s in states])
+        restarts, seed = 3, 7
+        starts = _als._initial_spinors(psis, restarts, seed)
+        for sweeps in (1, 3):
+            run = _als.power_iteration(psis, restarts, sweeps, 1e-13, seed)
+            for i in range(len(states)):
+                for r in range(restarts + 1):
+                    g2, spinors, iters, conv = _einsum_run(
+                        psis[i].conj(), [sp[i, r] for sp in starts], sweeps, 1e-13
+                    )
+                    assert run["g_squared"][i, r] == pytest.approx(g2, abs=1e-13)
+                    for q in range(n):
+                        assert np.abs(run["spinors"][q][i, r] - spinors[q]).max() <= 1e-13
+                    assert run["iterations"][i, r] == iters
+                    assert run["converged"][i, r] == conv
+
+    def test_initial_spinors(self):
+        states = [haar_random_state(4, seed=k) for k in range(3)] + [basis_state(4, 11)]
+        psis = np.stack([s.tensor for s in states])
+        starts = _als._initial_spinors(psis, 5, 9)
+        assert len(starts) == 4
+        for sp in starts:
+            assert sp.shape == (4, 6, 2)
+            assert np.allclose(np.linalg.norm(sp, axis=-1), 1.0, atol=1e-15)
+        for i, s in enumerate(states):
+            basis = ProductState(tuple(sp[i, -1] for sp in starts)).amplitudes()
+            assert np.array_equal(np.abs(basis), np.eye(16)[np.argmax(np.abs(s.amplitudes))])
+        again = _als._initial_spinors(psis, 5, 9)
+        other = _als._initial_spinors(psis, 5, 10)
+        for a, b, c in zip(starts, again, other):
+            assert np.array_equal(a, b)
+            assert not np.allclose(a[:, :-1], c[:, :-1])
+            assert np.array_equal(a[:, -1], c[:, -1])
+
+
 class TestSolvePath:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_closed_form_jacobian_matches_finite_differences(self, n):

@@ -1,7 +1,8 @@
-"""Property tests on drawn three-qubit states: the invariants do not see qubit
+"""Property tests on drawn states: the invariants and g^2 do not see qubit
 relabelings or local unitaries, and G transposes when its qubits swap."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from entgeo import (
     correlation_matrix,
     invariant_set,
     make_state,
+    nearest_product_state,
     permute_qubits,
 )
 
@@ -18,11 +20,18 @@ from entgeo import (
 PROPERTY = settings(max_examples=60, deadline=None)
 
 parts = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
-states = (
-    st.lists(parts, min_size=16, max_size=16)
-    .filter(lambda v: any(v))
-    .map(lambda v: make_state(3, np.array(v[:8]) + 1j * np.array(v[8:])))
-)
+
+
+def states_of(n):
+    dim = 2**n
+    return (
+        st.lists(parts, min_size=2 * dim, max_size=2 * dim)
+        .filter(lambda v: any(v))
+        .map(lambda v: make_state(n, np.array(v[:dim]) + 1j * np.array(v[dim:])))
+    )
+
+
+states = states_of(3)
 
 
 def permutation_free(inv):
@@ -49,3 +58,25 @@ def test_invariants_ignore_local_unitaries(s, seed):
 def test_correlation_matrix_transposes_under_swap(s, perm):
     q1, q2 = perm[:2]
     assert np.abs(correlation_matrix(s, q2, q1) - correlation_matrix(s, q1, q2).T).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@PROPERTY
+@given(data=st.data())
+def test_g_squared_ignores_qubit_relabeling(n, data):
+    s = data.draw(states_of(n))
+    perm = data.draw(st.permutations(range(n)))
+    before = nearest_product_state(s).g_squared
+    after = nearest_product_state(permute_qubits(s, perm)).g_squared
+    assert abs(before - after) < 1e-7
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@PROPERTY
+@given(data=st.data())
+def test_g_squared_ignores_local_unitaries(n, data):
+    s = data.draw(states_of(n))
+    u = LocalUnitary.random(n, seed=data.draw(st.integers(0, 2**32 - 1)))
+    before = nearest_product_state(s).g_squared
+    after = nearest_product_state(apply_local_unitary(s, u)).g_squared
+    assert abs(before - after) < 1e-7
