@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 _POLISH_STEPS = 12
+_PERP_SIGNS = np.array([-1.0, 1.0])
 
 
 def haar_bloch_spinors(rng: np.random.Generator, shape) -> np.ndarray:
@@ -132,68 +133,84 @@ def power_iteration(
 
 
 def _perp(e: np.ndarray) -> np.ndarray:
-    """The spinor orthogonal to ``e``; antilinear, with perp(perp(e)) = -e."""
-    return np.array([-np.conj(e[1]), np.conj(e[0])])
+    """The spinors (-conj(e1), conj(e0)) orthogonal to ``e`` (..., 2); antilinear,
+    with perp(perp(e)) = -e."""
+    return e[..., ::-1].conj() * _PERP_SIGNS
 
 
 def _cross_amplitudes(psi_conj: np.ndarray, spinors: list[np.ndarray]):
     """Contractions with one or two spinors replaced by their complements.
 
-    Returns the symmetric (n, n) matrix C and the overlap g.  C[q, k] has the
-    complement at qubits q and k; its diagonal C[q, q], with the complement
-    at q alone, vanishes exactly at a stationary point of the product overlap.
+    ``psi_conj`` is an (S, 2, ..., 2) batch and ``spinors`` n arrays (S, 2).
+    Returns the symmetric (S, n, n) matrices C and the (S,) overlaps g.
+    C[s, q, k] has the complement at qubits q and k; its diagonal C[s, q, q],
+    with the complement at q alone, vanishes exactly at a stationary point of
+    the product overlap.
     """
-    n = psi_conj.ndim
-    t = psi_conj
+    n_states, n = psi_conj.shape[0], psi_conj.ndim - 1
+    shape = (n_states, 2, 2 ** (n - 1))
+    t = psi_conj.reshape(shape)
     for e in spinors:
-        # basis (e, perp(e)) on each qubit: index 0 picks the spinor, 1 its complement
-        t = np.tensordot(t, np.stack([e, _perp(e)], axis=1), axes=([0], [0]))
-    flat = t.reshape(-1)
+        # basis (e, perp(e)) on the leading qubit, its index appended last:
+        # 0 picks the spinor, 1 its complement
+        t = (t.transpose(0, 2, 1) @ np.stack([e, _perp(e)], axis=-1)).reshape(shape)
+    flat = t.reshape(n_states, -1)
     bits = 1 << (n - 1 - np.arange(n))
-    return flat[bits[:, None] | bits[None, :]], flat[0]
+    return flat[:, bits[:, None] | bits[None, :]], flat[:, 0]
 
 
-def _newton_jacobian(cross: np.ndarray, g) -> np.ndarray:
-    """Real (2n, 2n) Jacobian of the residual f_q = C[q, q] in the step t.
+def _newton_jacobian(cross: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Real (S, 2n, 2n) Jacobians of the residuals f_q = C[q, q] in the step t.
 
     Moving spinor k to normalize(e_k + t_k perp(e_k)) changes f_q by
     sum_{k != q} C[q, k] t_k - g conj(t_q) to first order: perp is antilinear
     with perp(perp(e)) = -e, and the norm changes only at second order.
     Rows are (Re f, Im f); column 2k + 0 / 1 is Re t_k / Im t_k.
     """
-    n = cross.shape[0]
-    diag = np.diagonal(cross)
-    d_re = cross - np.diag(diag + g)
-    d_im = 1j * (cross - np.diag(diag - g))
-    cols = np.stack([d_re, d_im], axis=2).reshape(n, 2 * n)
-    return np.vstack([cols.real, cols.imag])
+    eye = np.eye(cross.shape[1])
+    off = cross - np.diagonal(cross, axis1=1, axis2=2)[:, :, None] * eye
+    shift = g[:, None, None] * eye
+    cols = np.stack([off - shift, 1j * (off + shift)], axis=3).reshape(*cross.shape[:2], -1)
+    return np.concatenate([cols.real, cols.imag], axis=1)
 
 
-def polish_stationary(psi: np.ndarray, spinors: list[np.ndarray]):
-    """Newton-refine a near-stationary product state to machine precision.
+def polish_stationary(psis: np.ndarray, spinors: list[np.ndarray]):
+    """Newton-refine near-stationary product states to machine precision.
 
-    Each spinor moves along its orthogonal complement, e ->
-    normalize(e + t * e_perp) with one complex t per qubit, and the n complex
-    residuals C[q, q] are driven to zero.  Stops at the first step that does
-    not improve.  Returns (spinors, residual norm).
+    ``psis`` is an (S, 2, ..., 2) batch and ``spinors`` n arrays (S, 2).  Each
+    spinor moves along its orthogonal complement, e -> normalize(e + t *
+    e_perp) with one complex t per qubit, and the n complex residuals C[q, q]
+    of every row are driven to zero by one batched solve per step.  A row
+    stops at its first step that does not improve, below 1e-15, or when its
+    Jacobian is singular, keeping its best spinors.  Returns (spinors,
+    residual norms (S,), squared overlaps (S,)) of the best point of each row.
     """
-    psi_conj = psi.conj()
-    cur = list(spinors)
-    cross, g = _cross_amplitudes(psi_conj, cur)
-    best, best_norm = cur, np.linalg.norm(np.diagonal(cross))
-    for _ in range(_POLISH_STEPS):
-        if best_norm < 1e-15:
-            break
-        f = np.diagonal(cross)
-        try:
-            update = np.linalg.solve(_newton_jacobian(cross, g), -np.concatenate([f.real, f.imag]))
-        except np.linalg.LinAlgError:
-            break
-        moved = [e + (update[2 * q] + 1j * update[2 * q + 1]) * _perp(e) for q, e in enumerate(cur)]
-        cur = [m / np.linalg.norm(m) for m in moved]
+    cur = best = [np.array(e, dtype=complex) for e in spinors]
+    best_res, best_g2 = np.full(len(psis), np.inf), np.zeros(len(psis))
+    rows, psi_conj = np.arange(len(psis)), psis.conj()
+    for step in range(_POLISH_STEPS + 1):
         cross, g = _cross_amplitudes(psi_conj, cur)
-        res_norm = np.linalg.norm(np.diagonal(cross))
-        if res_norm >= best_norm:
+        f = np.diagonal(cross, axis1=1, axis2=2)
+        res = np.linalg.norm(f, axis=1)
+        better = res < best_res[rows]
+        won = rows[better]
+        for b, c in zip(best, cur):
+            b[won] = c[better]
+        best_res[won], best_g2[won] = res[better], np.abs(g[better]) ** 2
+        keep = better & (res >= 1e-15)
+        rows, psi_conj, cross, g, f = rows[keep], psi_conj[keep], cross[keep], g[keep], f[keep]
+        if rows.size == 0 or step == _POLISH_STEPS:
             break
-        best, best_norm = cur, res_norm
-    return best, float(best_norm)
+        jac = _newton_jacobian(cross, g)
+        rhs = -np.concatenate([f.real, f.imag], axis=1)[:, :, None]
+        try:
+            t = np.linalg.solve(jac, rhs)
+        except np.linalg.LinAlgError:
+            # a singular row takes no step, so it stops at its best point
+            singular = np.linalg.det(jac) == 0.0
+            jac[singular], rhs[singular] = np.eye(jac.shape[1]), 0.0
+            t = np.linalg.solve(jac, rhs)
+        t = t[:, 0::2, 0] + 1j * t[:, 1::2, 0]
+        moved = [e + t[:, q, None] * _perp(e) for q, e in enumerate(c[keep] for c in cur)]
+        cur = [m / np.linalg.norm(m, axis=1, keepdims=True) for m in moved]
+    return best, best_res, best_g2

@@ -26,7 +26,7 @@ from .invariants import (
 from .overlap import (
     SolverConfig,
     _bloch_residual,
-    _solve_batch,
+    _solve_overlaps,
     nearest_product_state,
     quarter_form,
 )
@@ -35,6 +35,7 @@ from .states import (
     ProductState,
     PureState,
     ZeroBlochFamily,
+    _require_positive,
     _sample_zero_bloch,
     canonical_to_state,
     ghz_state,
@@ -352,6 +353,7 @@ def theorem_check(
     The sample may be relabeled through ``permutation`` so the vanishing
     Bloch vector lands on any qubit; the overlap is permutation invariant.
     """
+    _require_positive("tolerance", tolerance)
     solver = solver or SolverConfig(restarts=16)
     state = canonical_to_state(p)
     if p.h <= 1e-14:
@@ -442,22 +444,22 @@ def run_theorem_campaign(
     """Sample one family, solve every state numerically and check g^2 = 1/2.
 
     The solver runs all samples and restarts as one batch; samples whose
-    error exceeds half the tolerance are re-solved individually with a larger
-    budget before being declared failures.  Structure checks (t, zero modes,
-    singular values of G) run on the whole batch.
+    error exceeds half the tolerance are re-solved as one more batch with a
+    larger budget before being declared failures.  Structure checks (t, zero
+    modes, singular values of G) run on the whole batch.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    _require_positive("tolerance", tolerance)
     family = ZeroBlochFamily(family)
     solver = solver or SolverConfig(restarts=16)
     rng = np.random.default_rng(seed)
     params = [_sample_zero_bloch(family, rng) for _ in range(n_samples)]
-    states = [canonical_to_state(p) for p in params]
-    tensors = np.stack([s.tensor for s in states])
-    g2 = _solve_batch(tensors, solver)[0]
-    retry = solver.escalated()
-    for i in np.flatnonzero(np.abs(g2 - 0.5) > 0.5 * tolerance):
-        g2[i] = nearest_product_state(states[i], retry).g_squared
+    tensors = np.stack([canonical_to_state(p).tensor for p in params])
+    g2 = _solve_overlaps(tensors, solver)[0]
+    stragglers = np.flatnonzero(np.abs(g2 - 0.5) > 0.5 * tolerance)
+    if stragglers.size:
+        g2[stragglers] = _solve_overlaps(tensors[stragglers], solver.escalated())[0]
 
     left, right = _zero_mode_residuals(tensors, 2)  # both families have b_C = 0
     max_sv = 0.0
@@ -631,6 +633,7 @@ def inverse_search(
     minimum = 0 if include_controls else 1  # at least one state to solve
     if n_samples < minimum:
         raise ValueError(f"n_samples must be at least {minimum}, got {n_samples}")
+    _require_positive("filter_tol", filter_tol)
     solver = solver or SolverConfig(restarts=16)
     rng = np.random.default_rng(seed)
     states = [haar_random_state(3, rng) for _ in range(n_samples)]
@@ -639,24 +642,15 @@ def inverse_search(
         states.append(ghz_state(3))
         states.append(canonical_to_state(_sample_zero_bloch(ZeroBlochFamily.QUADRILATERAL, rng)))
         states.append(canonical_to_state(_sample_zero_bloch(ZeroBlochFamily.H_NONZERO, rng)))
-    g2 = _solve_batch(np.stack([s.tensor for s in states]), solver)[0]
-    refine = solver.escalated()
-    hits = []
-    for i, state in enumerate(states):
-        if abs(g2[i] - 0.5) > 10.0 * filter_tol:
-            continue
-        value = nearest_product_state(state, refine).g_squared
-        if abs(value - 0.5) > filter_tol:
-            continue
-        lengths = [np.linalg.norm(bloch_vector(state, q)) for q in range(3)]
-        hits.append(
-            InverseHit(
-                index=i,
-                g_squared=float(value),
-                min_bloch_length=float(min(lengths)),
-                is_control=i >= control_from,
-            )
-        )
+    tensors = np.stack([s.tensor for s in states])
+    near = np.flatnonzero(np.abs(_solve_overlaps(tensors, solver)[0] - 0.5) <= 10.0 * filter_tol)
+    g2 = _solve_overlaps(tensors[near], solver.escalated())[0] if near.size else np.zeros(0)
+    min_bloch = np.min([np.linalg.norm(_bloch(tensors, q), axis=1) for q in range(3)], axis=0)
+    hits = [
+        InverseHit(int(i), float(value), float(min_bloch[i]), is_control=bool(i >= control_from))
+        for i, value in zip(near, g2)
+        if abs(value - 0.5) <= filter_tol
+    ]
     values = np.array([h.min_bloch_length for h in hits]) if hits else np.array([])
     quantiles = {}
     if values.size:

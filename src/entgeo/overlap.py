@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _als
 from .invariants import bloch_vector, correlation_matrix
-from .states import ProductState, PureState, overlap_with_product
+from .states import ProductState, PureState, _require_int, _require_positive
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,9 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1 or self.max_iterations < 1 or self.tol <= 0:
-            raise ValueError("restarts, max_iterations and tol must be positive")
+        _require_int("restarts", self.restarts, 1)
+        _require_int("max_iterations", self.max_iterations, 1)
+        _require_positive("tol", self.tol)
 
     def escalated(self) -> "SolverConfig":
         """The budget for re-solving stragglers: 4x the restarts and sweeps, the
@@ -68,11 +69,16 @@ class OverlapResult:
     stationarity_residual: float
 
 
+def _off_unit(v: np.ndarray, tol: float) -> bool:
+    """True unless |v| is within ``tol`` of 1; NaN and inf entries count as off."""
+    return not abs(np.linalg.norm(v) - 1.0) <= tol
+
+
 def bloch_to_spinor(v) -> np.ndarray:
     """Spinor with Bloch vector ``v``, |0> component real nonnegative."""
     v = np.asarray(v, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-        raise ValueError("input must be a unit 3-vector")
+    if _off_unit(v, 1e-10):
+        raise ValueError("input must be a finite unit 3-vector")
     phi = math.atan2(v[1], v[0])
     c0 = math.sqrt(max(1.0 + v[2], 0.0) / 2.0)
     c1 = math.sqrt(max(1.0 - v[2], 0.0) / 2.0)
@@ -82,8 +88,8 @@ def bloch_to_spinor(v) -> np.ndarray:
 def spinor_to_bloch(spinor) -> np.ndarray:
     """Bloch vector of a normalized spinor."""
     c = np.asarray(spinor, dtype=complex).reshape(-1)
-    if c.size != 2 or abs(np.linalg.norm(c) - 1.0) > 1e-10:
-        raise ValueError("input must be a normalized 2-spinor")
+    if c.size != 2 or _off_unit(c, 1e-10):
+        raise ValueError("input must be a finite normalized 2-spinor")
     cross = np.conj(c[0]) * c[1]
     return np.array([2.0 * cross.real, 2.0 * cross.imag, (abs(c[0]) ** 2 - abs(c[1]) ** 2)])
 
@@ -104,8 +110,10 @@ def quarter_form(x, y, bloch_a, bloch_b, corr) -> float:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if abs(np.linalg.norm(x) - 1.0) > 1e-10 or abs(np.linalg.norm(y) - 1.0) > 1e-10:
-        raise ValueError("x and y must be unit 3-vectors")
+    if _off_unit(x, 1e-10) or _off_unit(y, 1e-10):
+        raise ValueError("x and y must be finite unit 3-vectors")
+    if not all(np.isfinite(a).all() for a in (bloch_a, bloch_b, corr)):
+        raise ValueError("bloch_a, bloch_b and corr must be finite")
     return float(0.25 * (1.0 + x @ bloch_a + y @ bloch_b + x @ (np.asarray(corr) @ y)))
 
 
@@ -159,8 +167,10 @@ def stationarity_residual(s: PureState, x, y, lam1: float, lam2: float) -> float
         raise ValueError("stationarity residual is defined for three-qubit states")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if abs(np.linalg.norm(x) - 1.0) > 1e-8 or abs(np.linalg.norm(y) - 1.0) > 1e-8:
-        raise ValueError("x and y must be unit 3-vectors")
+    if _off_unit(x, 1e-8) or _off_unit(y, 1e-8):
+        raise ValueError("x and y must be finite unit 3-vectors")
+    if not math.isfinite(lam1) or not math.isfinite(lam2):
+        raise ValueError("lam1 and lam2 must be finite")
     return _bloch_residual(
         bloch_vector(s, 0), bloch_vector(s, 1), correlation_matrix(s, 0, 1), x, y, lam1, lam2
     )
@@ -181,28 +191,21 @@ def _gauge_fix(spinor: np.ndarray) -> np.ndarray:
     return spinor * (np.conj(pivot) / abs(pivot))
 
 
-def _solve_batch(tensors: np.ndarray, cfg: SolverConfig):
+def _solve_overlaps(tensors: np.ndarray, cfg: SolverConfig):
     """Best of ``cfg.restarts`` + 1 ALS runs for each state of an (S, 2, ..., 2)
-    batch, unpolished.
+    batch, Newton-polished as one batch.
 
-    Returns (g_squared (S,), spinors as n arrays (S, 2), sweeps (S,),
-    converged (S,)), each taken from the best run of its state.
+    Returns (g_squared (S,), spinors as n arrays (S, 2), residual (S,),
+    sweeps (S,), converged (S,)); the sweeps and the converged flag are those
+    of each state's best ALS run, the rest is taken after the polish.
     """
-    run = _als.power_iteration(
-        tensors,
-        restarts=cfg.restarts,
-        max_iterations=cfg.max_iterations,
-        tol=cfg.tol,
-        seed=cfg.seed,
-    )
+    run = _als.power_iteration(tensors, cfg.restarts, cfg.max_iterations, cfg.tol, cfg.seed)
     rows = np.arange(tensors.shape[0])
     best = np.argmax(run["g_squared"], axis=1)
-    return (
-        run["g_squared"][rows, best],
-        [sp[rows, best] for sp in run["spinors"]],
-        run["iterations"][rows, best],
-        run["converged"][rows, best],
+    spinors, residual, g_squared = _als.polish_stationary(
+        tensors, [sp[rows, best] for sp in run["spinors"]]
     )
+    return g_squared, spinors, residual, run["iterations"][rows, best], run["converged"][rows, best]
 
 
 def nearest_product_state(s: PureState, cfg: SolverConfig | None = None) -> OverlapResult:
@@ -215,10 +218,9 @@ def nearest_product_state(s: PureState, cfg: SolverConfig | None = None) -> Over
     if s.n_qubits < 2:
         raise ValueError("the product overlap needs at least 2 qubits")
     cfg = cfg or SolverConfig()
-    _, spinors, sweeps, converged = _solve_batch(s.tensor[None], cfg)
-    spinors, residual = _als.polish_stationary(s.tensor, [sp[0] for sp in spinors])
-    product = ProductState(tuple(_gauge_fix(sp) for sp in spinors))
-    g_squared = overlap_with_product(s, product) ** 2
+    g_squared, spinors, residual, sweeps, converged = _solve_overlaps(s.tensor[None], cfg)
+    product = ProductState(tuple(_gauge_fix(sp[0]) for sp in spinors))
+    residual = float(residual[0])
     lagrange = None
     if s.n_qubits == 3:
         x = spinor_to_bloch(product.spinors[0])
@@ -231,7 +233,7 @@ def nearest_product_state(s: PureState, cfg: SolverConfig | None = None) -> Over
         lagrange = (lam1, lam2)
         residual = _bloch_residual(b_a, b_b, g, x, y, lam1, lam2)
     return OverlapResult(
-        g_squared=float(g_squared),
+        g_squared=float(g_squared[0]),
         product=product,
         lagrange=lagrange,
         restarts_used=cfg.restarts + 1,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -31,6 +32,19 @@ class StateFormatError(ValueError):
 
 class CanonicalizationError(RuntimeError):
     """Canonical-form search did not reach the residual tolerance."""
+
+
+def _require_int(name: str, value, minimum: int) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer >= ``minimum``
+    (bool rejected, numpy integers accepted)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _require_positive(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a finite real number > 0."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -577,49 +591,42 @@ def canonicalize(s: PureState, restarts: int = 32, seed=0) -> tuple[CanonicalPar
 
     Every stationary product state of the overlap with nonzero value yields a
     representative; the search runs ``restarts`` random starts (an integer
-    >= 0) plus one basis start, Newton-polishes each converged branch, and
-    among all representatives reaching a residual of 1e-9 returns the
-    lexicographically largest (d, h, a, b, c), breaking remaining ties toward
-    gamma >= 0.
+    >= 0) plus one basis start, Newton-polishes the distinct branches within
+    1e-6 of the best overlap as one batch, and among all representatives
+    reaching a residual of 1e-9 returns the lexicographically largest
+    (d, h, a, b, c), breaking remaining ties toward gamma >= 0.
 
     The returned unitaries map ``s`` onto ``canonical_to_state(params)``
     exactly (global phase included).
     """
     if s.n_qubits != 3:
         raise ValueError("canonicalization is defined for three-qubit states")
-    if isinstance(restarts, bool) or not isinstance(restarts, (int, np.integer)) or restarts < 0:
-        raise ValueError(f"restarts must be an integer >= 0, got {restarts!r}")
+    _require_int("restarts", restarts, 0)
     tensor = s.tensor
     run = _als.power_iteration(
         tensor[None], restarts=restarts, max_iterations=_CANON_MAX_ITERATIONS, tol=1e-15,
         seed=seed,
     )
     overlaps = run["g_squared"][0]
-    order = np.argsort(-overlaps, kind="stable")
+    spinors = [sp[0] for sp in run["spinors"]]  # n arrays (R, 2)
+    cross = np.stack([np.conj(sp[:, 0]) * sp[:, 1] for sp in spinors], axis=1)
+    z = np.stack([np.abs(sp[:, 0]) ** 2 - np.abs(sp[:, 1]) ** 2 for sp in spinors], axis=1)
+    blochs = np.stack([2.0 * cross.real, 2.0 * cross.imag, z], axis=2).reshape(len(overlaps), -1)
     # only branches tied with the best overlap can win the (d, ...) tie-break,
     # since d equals the overlap at the branch's stationary point
-    window = max(overlaps.max() - 1e-6, 1e-12)
+    order = np.argsort(-overlaps, kind="stable")
+    order = order[overlaps[order] >= max(overlaps.max() - 1e-6, 1e-12)]
+    # one branch per 6-decimal Bloch fingerprint, the first in overlap order
+    _, first = np.unique(np.round(blochs[order], 6), axis=0, return_index=True)
+    branches = order[np.sort(first)]
+    polished, _, _ = _als.polish_stationary(
+        np.broadcast_to(tensor, (len(branches),) + tensor.shape),
+        [sp[branches] for sp in spinors],
+    )
     candidates = []
-    seen_branches = set()
     seen_params = set()
-    for r in order:
-        if overlaps[r] < window:
-            break
-        spinors = [run["spinors"][q][0, r] for q in range(3)]
-        fingerprint = tuple(
-            round(v, 6)
-            for sp in spinors
-            for v in (
-                2.0 * (np.conj(sp[0]) * sp[1]).real,
-                2.0 * (np.conj(sp[0]) * sp[1]).imag,
-                abs(sp[0]) ** 2 - abs(sp[1]) ** 2,
-            )
-        )
-        if fingerprint in seen_branches:
-            continue
-        seen_branches.add(fingerprint)
-        spinors, _ = _als.polish_stationary(tensor, spinors)
-        params, lu, residual = _canonical_rep(tensor, spinors)
+    for k in range(len(branches)):
+        params, lu, residual = _canonical_rep(tensor, [sp[k] for sp in polished])
         if residual > _CANON_RESIDUAL_TOL:
             continue
         key = tuple(np.round(params.as_tuple(), 7))

@@ -8,6 +8,7 @@ import pytest
 from entgeo import (
     CanonicalParams,
     LocalUnitary,
+    ProductState,
     apply_local_unitary,
     canonical_to_state,
     canonicalize,
@@ -15,9 +16,13 @@ from entgeo import (
     basis_state,
     haar_random_state,
     invariant_set,
+    make_state,
     three_tangle,
     three_tangle_canonical,
+    w_state,
 )
+from entgeo import _als
+from entgeo._als import haar_bloch_spinors
 
 SQ2 = math.sqrt(2.0)
 
@@ -78,6 +83,25 @@ class TestOrbitRecovery:
             assert p.h == pytest.approx(1 / SQ2, abs=1e-6)
             assert max(p.a, p.b, p.c) < 1e-6
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_lu_of_w(self, seed):
+        # W has a continuous family of maximisers, so many ALS branches tie
+        s = apply_local_unitary(w_state(3), LocalUnitary.random(3, seed=30 + seed))
+        p, lu = canonicalize(s, seed=seed)
+        assert p.d == pytest.approx(2 / 3, abs=1e-7)
+        assert three_tangle_canonical(p) == pytest.approx(0.0, abs=1e-9)
+        assert reconstruction_infidelity(s, p, lu) < 1e-8
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_lu_of_product_state(self, seed):
+        rng = np.random.default_rng(seed)
+        product = ProductState(tuple(haar_bloch_spinors(rng, (3,)))).amplitudes()
+        s = apply_local_unitary(make_state(3, product), LocalUnitary.random(3, seed=40 + seed))
+        p, lu = canonicalize(s, seed=seed)
+        assert p.d == pytest.approx(1.0, abs=1e-9)
+        assert max(p.a, p.b, p.c, p.h) < 1e-6
+        assert reconstruction_infidelity(s, p, lu) < 1e-8
+
     def test_random_lu_of_basis_state(self):
         s = apply_local_unitary(basis_state(3, 0), LocalUnitary.random(3, seed=21))
         p, lu = canonicalize(s)
@@ -121,6 +145,26 @@ class TestContracts:
     def test_restarts_validated(self, restarts):
         with pytest.raises(ValueError, match="restarts"):
             canonicalize(ghz_state(3), restarts=restarts)
+
+    def test_distinct_branches_polished_in_one_call(self, monkeypatch):
+        calls = []
+        polish = _als.polish_stationary
+
+        def recording(psis, spinors):
+            calls.append([sp.copy() for sp in spinors])
+            return polish(psis, spinors)
+
+        monkeypatch.setattr(_als, "polish_stationary", recording)
+        canonicalize(apply_local_unitary(ghz_state(3), LocalUnitary.random(3, seed=3)))
+        assert len(calls) == 1
+        # one row per GHZ branch, |000> and |111> rotated: orthogonal on every qubit
+        assert calls[0][0].shape == (2, 2)
+        for sp in calls[0]:
+            assert abs(np.vdot(sp[0], sp[1])) < 1e-6
+        calls.clear()
+        # W ties on a continuous family, so every run is its own branch
+        canonicalize(apply_local_unitary(w_state(3), LocalUnitary.random(3, seed=3)), restarts=8)
+        assert len(calls) == 1 and calls[0][0].shape == (9, 2)
 
     def test_basis_start_only(self):
         p, lu = canonicalize(ghz_state(3), restarts=0)

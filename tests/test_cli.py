@@ -131,6 +131,21 @@ class TestOverlapCommand:
         assert "unknown builtin" in err
 
 
+    @pytest.mark.parametrize("command", ["overlap", "inverse-search"])
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_bad_solver_tol_exit_2(self, capsys, command, tol):
+        source = ("--builtin", "ghz") if command == "overlap" else ("--samples", "2")
+        code, out, err = run_cli(capsys, command, *source, "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: tol must be a finite number > 0, got {float(tol)!r}\n"
+
+    def test_bad_solver_restarts_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "overlap", "--builtin", "ghz", "--restarts", "0")
+        assert code == 2
+        assert err == "error: restarts must be an integer >= 1, got 0\n"
+
+
 class TestCanonicalizeCommand:
     def test_ghz(self, capsys):
         code, out, _ = run_cli(capsys, "canonicalize", "--builtin", "ghz",
@@ -173,6 +188,14 @@ class TestVerifyTheoremCommand:
         code, _, err = run_cli(capsys, "verify-theorem", "--samples", count)
         assert code == 2
         assert f"n_samples must be at least 1, got {count}" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-7"])
+    def test_bad_tolerance_exit_2(self, capsys, tol):
+        code, out, err = run_cli(capsys, "verify-theorem", "--family", "quadrilateral",
+                                 "--samples", "5", f"--tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: tolerance must be a finite number > 0, got {float(tol)!r}\n"
 
     def test_impossible_tolerance_exits_1(self, capsys):
         code, out, _ = run_cli(capsys, "verify-theorem", "--family", "h-nonzero",

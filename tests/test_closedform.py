@@ -33,7 +33,9 @@ from entgeo import (
     wn_overlap,
     wn_state,
 )
+from entgeo import closedform
 from entgeo.closedform import _zero_mode_residuals
+from entgeo.overlap import _solve_overlaps
 
 FAST = SolverConfig(restarts=16)
 
@@ -289,6 +291,13 @@ class TestTheoremCheck:
         with pytest.raises(ValueError, match="n_samples"):
             run_theorem_campaign("quadrilateral", n_samples)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-7])
+    def test_tolerance_validated(self, bad):
+        with pytest.raises(ValueError, match="tolerance must be a finite number > 0"):
+            run_theorem_campaign("quadrilateral", 5, tolerance=bad)
+        with pytest.raises(ValueError, match="tolerance must be a finite number > 0"):
+            theorem_check(sample_zero_bloch_manifold("quadrilateral", seed=1), tolerance=bad)
+
     def test_campaign_deterministic(self):
         a = run_theorem_campaign("quadrilateral", n_samples=50, seed=3)
         b = run_theorem_campaign("quadrilateral", n_samples=50, seed=3)
@@ -393,6 +402,56 @@ class TestDicke4:
         assert abs(g2 - 0.5) > 0.1
 
 
+class TestBatchedResolve:
+    @staticmethod
+    def record(monkeypatch):
+        calls = []
+
+        def recording(tensors, cfg):
+            out = _solve_overlaps(tensors, cfg)
+            calls.append((tensors, cfg, out[0].copy()))
+            return out
+
+        monkeypatch.setattr(closedform, "_solve_overlaps", recording)
+        return calls
+
+    def test_campaign_resolves_stragglers_in_one_batch(self, monkeypatch):
+        cfg = SolverConfig(restarts=2, max_iterations=3, seed=3)
+        calls = self.record(monkeypatch)
+        report = run_theorem_campaign("quadrilateral", 100, seed=11, solver=cfg)
+        assert len(calls) == 2
+        (tensors, first_cfg, first), (retried, retry_cfg, second) = calls
+        assert tensors.shape == (100, 2, 2, 2) and first_cfg == cfg
+        stragglers = np.flatnonzero(np.abs(first - 0.5) > 0.5 * report.tolerance)
+        assert stragglers.size > 0  # this budget leaves stragglers after the first pass
+        assert retry_cfg == cfg.escalated()
+        assert np.array_equal(retried, tensors[stragglers])
+        direct = _solve_overlaps(tensors[stragglers], cfg.escalated())[0]
+        assert np.array_equal(second, direct)
+        g2 = first.copy()
+        g2[stragglers] = direct
+        assert report.passed
+        assert report.max_g2_error == float(np.abs(g2 - 0.5).max()) <= 1e-7
+
+    def test_campaign_without_stragglers_solves_once(self, monkeypatch):
+        calls = self.record(monkeypatch)
+        assert run_theorem_campaign("h-nonzero", 50, seed=2).passed
+        assert len(calls) == 1
+
+    def test_inverse_search_refines_in_one_batch(self, monkeypatch):
+        calls = self.record(monkeypatch)
+        # a wide filter, so that some refined rows fall outside it
+        report = inverse_search(20, seed=5, filter_tol=0.02)
+        assert len(calls) == 2
+        (tensors, cfg, first), (refined, refine_cfg, second) = calls
+        near = np.flatnonzero(np.abs(first - 0.5) <= 10.0 * report.filter_tol)
+        assert np.array_equal(refined, tensors[near]) and refine_cfg == cfg.escalated()
+        kept = near[np.abs(second - 0.5) <= report.filter_tol]
+        assert 3 <= kept.size < near.size
+        assert [h.index for h in report.hits] == list(kept)
+        assert [h.g_squared for h in report.hits] == list(second[np.isin(near, kept)])
+
+
 class TestInverseSearch:
     def test_controls_are_hits_with_zero_bloch(self):
         report = inverse_search(20, seed=5)
@@ -423,3 +482,12 @@ class TestInverseSearch:
     def test_controls_alone(self):
         report = inverse_search(0, seed=4)
         assert [h.is_control for h in report.hits] == [True, True, True]
+
+    def test_no_state_near_half(self):
+        report = inverse_search(2, seed=1, filter_tol=1e-9, include_controls=False)
+        assert report.hits == () and report.min_bloch_quantiles == {}
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1e-4, True, "1e-4"])
+    def test_filter_tol_validated(self, bad):
+        with pytest.raises(ValueError, match="filter_tol must be a finite number > 0"):
+            inverse_search(5, filter_tol=bad)

@@ -28,7 +28,7 @@ from entgeo import (
     apply_local_unitary,
 )
 from entgeo import _als
-from entgeo.overlap import _solve_batch
+from entgeo.overlap import _solve_overlaps
 
 from oracles import grid_overlap_sq
 
@@ -135,6 +135,21 @@ class TestSolverContracts:
         with pytest.raises(ValueError):
             SolverConfig(restarts=0)
 
+    @pytest.mark.parametrize("field", ["restarts", "max_iterations"])
+    @pytest.mark.parametrize("bad", [0, -2, 2.5, True, "4", None])
+    def test_config_integer_fields_named(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1, got {bad!r}"):
+            SolverConfig(**{field: bad})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1e-13, True, "1e-13"])
+    def test_config_tol_named(self, bad):
+        with pytest.raises(ValueError, match="tol must be a finite number > 0"):
+            SolverConfig(tol=bad)
+
+    def test_config_accepts_numpy_scalars(self):
+        cfg = SolverConfig(restarts=np.int64(3), max_iterations=np.int32(40), tol=np.float64(1e-9))
+        assert nearest_product_state(ghz_state(3), cfg).g_squared == pytest.approx(0.5, abs=1e-12)
+
 
 class TestQuarterForm:
     def test_basis_state(self):
@@ -156,6 +171,18 @@ class TestQuarterForm:
         with pytest.raises(ValueError):
             quarter_form([0, 0, 2.0], [0, 0, 1.0], bloch_vector(s, 0),
                          bloch_vector(s, 1), correlation_matrix(s, 0, 1))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        s = ghz_state(3)
+        b_a, b_b, g = bloch_vector(s, 0), bloch_vector(s, 1), correlation_matrix(s, 0, 1)
+        z = [0.0, 0.0, 1.0]
+        with pytest.raises(ValueError, match="finite unit 3-vectors"):
+            quarter_form([bad, 0.0, 0.0], z, b_a, b_b, g)
+        with pytest.raises(ValueError, match="finite unit 3-vectors"):
+            quarter_form(z, [0.0, bad, 1.0], b_a, b_b, g)
+        with pytest.raises(ValueError, match="must be finite"):
+            quarter_form(z, z, b_a, b_b, np.where(np.eye(3) > 0, bad, g))
 
     def test_maximum_equals_solver(self):
         for seed in range(15):
@@ -179,6 +206,16 @@ class TestStationarityResidual:
         x = np.array([math.sin(0.1), 0.0, math.cos(0.1)])
         z = np.array([0.0, 0.0, 1.0])
         assert stationarity_residual(ghz_state(3), x, z, 1.0, 1.0) > 1e-3
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        z = np.array([0.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="finite unit 3-vectors"):
+            stationarity_residual(ghz_state(3), [bad, 0.0, 0.0], z, 1.0, 1.0)
+        with pytest.raises(ValueError, match="finite unit 3-vectors"):
+            stationarity_residual(ghz_state(3), z, [0.0, bad, 1.0], 1.0, 1.0)
+        with pytest.raises(ValueError, match="lam1 and lam2 must be finite"):
+            stationarity_residual(ghz_state(3), z, z, 1.0, bad)
 
     def test_converged_result_satisfies_stationarity(self):
         s = haar_random_state(3, seed=77)
@@ -220,6 +257,20 @@ class TestSpinorBloch:
             bloch_to_spinor([0, 0, 0.5])
         with pytest.raises(ValueError):
             spinor_to_bloch([1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_bloch_to_spinor_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite unit 3-vector"):
+            bloch_to_spinor([bad, 0.0, 0.0])
+        with pytest.raises(ValueError, match="finite unit 3-vector"):
+            bloch_to_spinor([0.0, 0.0, bad])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.nan, 0.0)])
+    def test_spinor_to_bloch_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite normalized 2-spinor"):
+            spinor_to_bloch([bad, 0.0])
+        with pytest.raises(ValueError, match="finite normalized 2-spinor"):
+            spinor_to_bloch([1.0, bad])
 
 
 class TestGeometricMeasure:
@@ -334,47 +385,99 @@ class TestSweepKernel:
             assert np.array_equal(a[:, -1], c[:, -1])
 
 
+def _best_runs(tensors, cfg):
+    """Each state's best ALS run, solved one state at a time, as n arrays (S, 2)."""
+    best = []
+    for psi in tensors:
+        run = _als.power_iteration(psi[None], cfg.restarts, cfg.max_iterations, cfg.tol, cfg.seed)
+        r = np.argmax(run["g_squared"][0])
+        best.append([sp[0, r] for sp in run["spinors"]])
+    return [np.array(column) for column in zip(*best)]
+
+
 class TestSolvePath:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_closed_form_jacobian_matches_finite_differences(self, n):
         rng = np.random.default_rng(40 + n)
+        psis, points = [], []
         for trial in range(3):
-            psi_conj = haar_random_state(n, seed=rng).tensor.conj()
-            spinors = list(_als.haar_bloch_spinors(rng, (n,)))
-            cross, g = _als._cross_amplitudes(psi_conj, spinors)
-            assert np.allclose(cross, cross.T, atol=1e-15)
-            assert np.allclose(np.diagonal(cross), _residuals(psi_conj, spinors), atol=1e-15)
-            analytic = _als._newton_jacobian(cross, g)
+            psis.append(haar_random_state(n, seed=rng).tensor.conj())
+            points.append(list(_als.haar_bloch_spinors(rng, (n,))))
+        cross, g = _als._cross_amplitudes(np.stack(psis), [np.array(c) for c in zip(*points)])
+        jacobians = _als._newton_jacobian(cross, g)
+        for psi_conj, spinors, c, jac in zip(psis, points, cross, jacobians):
+            assert np.allclose(c, c.T, atol=1e-15)
+            assert np.allclose(np.diagonal(c), _residuals(psi_conj, spinors), atol=1e-15)
             reference = _fd_jacobian(psi_conj, spinors, step=1e-6)
-            assert np.abs(analytic - reference).max() <= 1e-6
+            assert np.abs(jac - reference).max() <= 1e-6
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_polish_reaches_machine_precision(self, n):
-        for seed in range(3):
-            s = haar_random_state(n, seed=100 * n + seed)
-            _, spinors, _, _ = _solve_batch(s.tensor[None], FAST)
-            polished, residual = _als.polish_stationary(s.tensor, [sp[0] for sp in spinors])
-            assert residual <= 1e-13
-            assert np.linalg.norm(_residuals(s.tensor.conj(), polished)) <= 1e-13
+        states = [haar_random_state(n, seed=100 * n + seed) for seed in range(3)]
+        tensors = np.stack([s.tensor for s in states])
+        polished, residual, g2 = _als.polish_stationary(tensors, _best_runs(tensors, FAST))
+        assert residual.max() <= 1e-13
+        for i, s in enumerate(states):
+            spinors = [sp[i] for sp in polished]
+            assert np.linalg.norm(_residuals(s.tensor.conj(), spinors)) <= 1e-13
+            product = ProductState(tuple(spinors))
+            assert overlap_with_product(s, product) ** 2 == pytest.approx(g2[i], abs=1e-15)
 
-    def test_solve_batch_is_best_run(self):
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_mixed_batch_polish_equals_one_at_a_time(self, n):
+        states = [haar_random_state(n, seed=500 + n + k) for k in range(3)]
+        states.append(apply_local_unitary(ghz_state(n), LocalUnitary.random(n, seed=n)))
+        states.append(w_state(n))
+        states.append(basis_state(n, 5))
+        tensors = np.stack([s.tensor for s in states])
+        starts = _best_runs(tensors, SolverConfig(restarts=4, max_iterations=30, tol=1e-6))
+        spinors, residual, g2 = _als.polish_stationary(tensors, starts)
+        assert residual[-1] == 0.0 and g2[-1] == pytest.approx(1.0, abs=1e-15)
+        assert residual.max() <= 1e-12
+        for i in range(len(states)):
+            alone = _als.polish_stationary(tensors[i : i + 1], [sp[i : i + 1] for sp in starts])
+            assert residual[i] == pytest.approx(alone[1][0], abs=1e-14)
+            assert g2[i] == pytest.approx(alone[2][0], abs=1e-14)
+            for q in range(n):
+                assert np.abs(spinors[q][i] - alone[0][q][0]).max() <= 1e-14
+
+    def test_singular_row_keeps_its_start_and_others_polish(self):
+        # (|01> + |10>)/sqrt(2) at |0>|0>: g = 0 and C[0, 1] = 0, so the
+        # Jacobian vanishes while the residual is 1
+        bell = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex) / np.sqrt(2.0)
+        haar = haar_random_state(2, seed=8).tensor
+        tensors = np.stack([bell, haar])
+        starts = _best_runs(tensors, SolverConfig(restarts=4, max_iterations=5, tol=1e-6))
+        for sp in starts:
+            sp[0] = [1.0, 0.0]
+        spinors, residual, g2 = _als.polish_stationary(tensors, starts)
+        for q in range(2):
+            assert np.array_equal(spinors[q][0], [1.0, 0.0])
+        assert residual[0] == pytest.approx(1.0, abs=1e-15) and g2[0] == 0.0
+        alone = _als.polish_stationary(tensors[1:], [sp[1:] for sp in starts])
+        assert residual[1] <= 1e-13
+        assert residual[1] == alone[1][0] and g2[1] == alone[2][0]
+
+    def test_solve_overlaps_is_best_run_polished(self):
         states = [haar_random_state(4, seed=seed) for seed in range(3)]
         states.append(apply_local_unitary(ghz_state(4), LocalUnitary.random(4, seed=1)))
         states.append(apply_local_unitary(w_state(4), LocalUnitary.random(4, seed=2)))
         tensors = np.stack([s.tensor for s in states])
         cfg = SolverConfig(restarts=8, seed=5)
-        g2, spinors, sweeps, converged = _solve_batch(tensors, cfg)
+        g2, spinors, residual, sweeps, converged = _solve_overlaps(tensors, cfg)
         run = _als.power_iteration(tensors, cfg.restarts, cfg.max_iterations, cfg.tol, cfg.seed)
-        assert np.array_equal(g2, run["g_squared"].max(axis=1))
         best = np.argmax(run["g_squared"], axis=1)
         rows = np.arange(len(states))
         assert np.array_equal(sweeps, run["iterations"][rows, best])
         assert np.array_equal(converged, run["converged"][rows, best])
+        polished = _als.polish_stationary(tensors, [sp[rows, best] for sp in run["spinors"]])
+        assert np.array_equal(g2, polished[2]) and np.array_equal(residual, polished[1])
+        assert np.abs(g2 - run["g_squared"].max(axis=1)).max() <= 1e-12
         for i, s in enumerate(states):
             product = ProductState(tuple(sp[i] for sp in spinors))
-            assert overlap_with_product(s, product) ** 2 == pytest.approx(g2[i], abs=1e-12)
-        assert g2[3] == pytest.approx(0.5, abs=1e-9)
-        assert g2[4] == pytest.approx(27 / 64, abs=1e-9)
+            assert overlap_with_product(s, product) ** 2 == pytest.approx(g2[i], abs=1e-15)
+        assert g2[3] == pytest.approx(0.5, abs=1e-12)
+        assert g2[4] == pytest.approx(27 / 64, abs=1e-12)
 
     def test_escalated(self):
         cfg = SolverConfig(restarts=16, max_iterations=500, tol=1e-13, seed=3).escalated()

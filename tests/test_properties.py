@@ -1,5 +1,9 @@
 """Property tests on drawn states: the invariants and g^2 do not see qubit
-relabelings or local unitaries, and G transposes when its qubits swap."""
+relabelings or local unitaries, G transposes when its qubits swap, and the
+state document round-trips."""
+
+import json
+import warnings
 
 import numpy as np
 import pytest
@@ -10,10 +14,13 @@ from entgeo import (
     LocalUnitary,
     apply_local_unitary,
     correlation_matrix,
+    haar_random_state,
     invariant_set,
     make_state,
     nearest_product_state,
     permute_qubits,
+    state_from_dict,
+    state_to_dict,
 )
 
 # bounded so the tier-1 run stays fast; each example costs about a millisecond
@@ -80,3 +87,36 @@ def test_g_squared_ignores_local_unitaries(n, data):
     before = nearest_product_state(s).g_squared
     after = nearest_product_state(apply_local_unitary(s, u)).g_squared
     assert abs(before - after) < 1e-7
+
+
+def documents_of(n):
+    """Haar states, or up to 8 drawn amplitudes on drawn indices with the rest zero;
+    small enough to draw for every n up to 8, unlike ``states_of``."""
+    dim = 2**n
+
+    def amplitudes(entries):
+        amps = np.zeros(dim, dtype=complex)
+        for i, re, im in entries:
+            amps[i] += complex(re, im)
+        return amps
+
+    sparse = (
+        st.lists(st.tuples(st.integers(0, dim - 1), parts, parts), min_size=1, max_size=8)
+        .map(amplitudes)
+        .filter(lambda amps: amps.any())
+        .map(lambda amps: make_state(n, amps))
+    )
+    return sparse | st.integers(0, 2**32 - 1).map(lambda seed: haar_random_state(n, seed=seed))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@PROPERTY
+@given(data=st.data())
+def test_state_document_round_trips(n, data):
+    s = data.draw(documents_of(n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = state_from_dict(json.loads(json.dumps(state_to_dict(s))))
+    assert back.n_qubits == s.n_qubits
+    assert np.abs(back.amplitudes - s.amplitudes).max() <= 1e-15
+    assert abs(back.norm_factor - 1.0) <= 1e-15
