@@ -365,17 +365,13 @@ def _demo_quadrilateral(args) -> int:
 
 
 def _cmd_inverse_search(args) -> int:
-    report = inverse_search(
-        args.samples,
-        seed=args.seed,
-        solver=SolverConfig(restarts=args.restarts, max_iterations=args.max_iters,
-                            tol=args.tol, seed=args.seed),
-    )
+    report = inverse_search(args.samples, seed=args.seed, solver=_solver_config(args))
     if args.format == "structured":
         print(json.dumps(report.to_dict(), indent=2))
     else:
+        sampled = sum(not h.is_control for h in report.hits)
         print(
-            f"inverse search: {len(report.hits)} of {report.samples} sampled states "
+            f"inverse search: {sampled} of {report.samples} sampled states "
             f"(plus controls) have |g^2 - 1/2| <= {report.filter_tol:g}"
         )
         for h in report.hits:

@@ -35,6 +35,7 @@ from .states import (
     ProductState,
     PureState,
     ZeroBlochFamily,
+    _require_int,
     _require_positive,
     _sample_zero_bloch,
     canonical_to_state,
@@ -158,7 +159,12 @@ def quadrilateral_nearest(p: QuadrilateralParams) -> ProductState:
     return ProductState(tuple(spinors))
 
 
-def random_feasible_quadrilateral(seed=None, r_margin: float = 1e-3, area_margin: float = 1e-2) -> QuadrilateralParams:
+# smallest area and nearest-product coefficient a sampled quadrilateral may have
+_QUAD_AREA_MARGIN = 1e-2
+_QUAD_R_MARGIN = 1e-3
+
+
+def random_feasible_quadrilateral(seed=None) -> QuadrilateralParams:
     """Rejection-sample sides on which the closed form is well conditioned."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     while True:
@@ -167,9 +173,9 @@ def random_feasible_quadrilateral(seed=None, r_margin: float = 1e-3, area_margin
         p = QuadrilateralParams(*sides)
         if not p.is_feasible:
             continue
-        if quadrilateral_area(p) < area_margin:
+        if quadrilateral_area(p) < _QUAD_AREA_MARGIN:
             continue
-        if quadrilateral_r_coefficients(p).min() < r_margin:
+        if quadrilateral_r_coefficients(p).min() < _QUAD_R_MARGIN:
             continue
         return p
 
@@ -235,7 +241,10 @@ def _g_singular_values(a, b, h) -> np.ndarray:
     return np.stack([2.0 * mu, 2.0 * a * b, np.zeros_like(mu)], axis=-1)
 
 
-def svd_branch_solutions(p: CanonicalParams, constraint_tol: float = 1e-10) -> BranchReport:
+_FAMILY_TOL = 1e-10  # how far (c, gamma, d^2 - a^2 - b^2 - h^2) may sit off the family
+
+
+def svd_branch_solutions(p: CanonicalParams) -> BranchReport:
     """Solve the stationarity equations on the c = 0, d^2 = a^2 + b^2 + h^2 family.
 
     The correlation matrix factors as U diag(2 mu, 2ab, 0) V^T with rotation
@@ -245,11 +254,11 @@ def svd_branch_solutions(p: CanonicalParams, constraint_tol: float = 1e-10) -> B
     g_2^2 = 1/2; the overlap is max(g_1^2, g_2^2).
     """
     a, b, c, d, h, gamma = p.as_tuple()
-    if abs(c) > constraint_tol:
+    if abs(c) > _FAMILY_TOL:
         raise ValueError(f"family requires c = 0, got c = {c}")
-    if abs(gamma) > constraint_tol:
+    if abs(gamma) > _FAMILY_TOL:
         raise ValueError(f"family requires gamma = 0, got gamma = {gamma}")
-    if abs(d * d - (a * a + b * b + h * h)) > constraint_tol:
+    if abs(d * d - (a * a + b * b + h * h)) > _FAMILY_TOL:
         raise ValueError("family requires d^2 = a^2 + b^2 + h^2")
 
     alpha = math.atan2(h, a)
@@ -342,6 +351,17 @@ def _zero_mode_residuals(tensors: np.ndarray, vanishing: int) -> tuple[np.ndarra
     return np.linalg.norm(left, axis=1), np.linalg.norm(right, axis=1)
 
 
+def _solve_and_recheck(tensors: np.ndarray, solver: SolverConfig, suspect):
+    """Solve an (S, 2, 2, 2) batch, then re-solve the rows whose values
+    ``suspect(g2)`` flags as one more batch with ``solver.escalated()``.
+    Returns (g2 (S,), number of re-solved rows)."""
+    g2 = _solve_overlaps(tensors, solver)[0]
+    rows = np.flatnonzero(suspect(g2))
+    if rows.size:
+        g2[rows] = _solve_overlaps(tensors[rows], solver.escalated())[0]
+    return g2, int(rows.size)
+
+
 def theorem_check(
     p: CanonicalParams,
     tolerance: float = 1e-7,
@@ -352,23 +372,24 @@ def theorem_check(
 
     The sample may be relabeled through ``permutation`` so the vanishing
     Bloch vector lands on any qubit; the overlap is permutation invariant.
+    The numeric value is re-solved with a larger budget when it misses 1/2
+    by more than half the tolerance, as in ``run_theorem_campaign``.
     """
     _require_positive("tolerance", tolerance)
     solver = solver or SolverConfig(restarts=16)
-    state = canonical_to_state(p)
+    state = permute_qubits(canonical_to_state(p), permutation)
     if p.h <= 1e-14:
         closed_path = "quadrilateral"
         closed = quadrilateral_overlap(QuadrilateralParams(p.a, p.b, p.c, p.d)) ** 2
     else:
         closed_path = "svd"
         closed = svd_branch_solutions(p).final_g_squared
-
-    state = permute_qubits(state, permutation)
     inv = invariant_set(state)
     lengths = np.array([inv.b_A, inv.b_B, inv.b_C])
     vanishing = int(np.argmin(lengths))
-    left, right = _zero_mode_residuals(state.tensor[None], vanishing)
-    numeric = nearest_product_state(state, solver).g_squared
+    tensor = state.tensor[None]
+    left, right = _zero_mode_residuals(tensor, vanishing)
+    numeric = _solve_and_recheck(tensor, solver, lambda g: np.abs(g - 0.5) > 0.5 * tolerance)[0][0]
     return TheoremCheckReport(
         params=p,
         permutation=tuple(permutation),
@@ -404,6 +425,7 @@ class CampaignReport:
     max_abs_t: float
     max_zero_mode_residual: float
     max_singular_value_error: float
+    rechecked: int  # samples re-solved with the escalated budget
     failures: tuple[CampaignFailure, ...] = field(default=())
 
     @property
@@ -420,6 +442,7 @@ class CampaignReport:
             "max_abs_t": self.max_abs_t,
             "max_zero_mode_residual": self.max_zero_mode_residual,
             "max_singular_value_error": self.max_singular_value_error,
+            "rechecked": self.rechecked,
             "passed": self.passed,
             "failures": [
                 {
@@ -432,6 +455,14 @@ class CampaignReport:
                 for f in self.failures
             ],
         }
+
+
+def _require_sample_count(n_samples, minimum: int) -> None:
+    """Raise ValueError unless ``n_samples`` is an integer >= ``minimum`` (bool rejected)."""
+    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)):
+        raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
+    if n_samples < minimum:
+        raise ValueError(f"n_samples must be at least {minimum}, got {n_samples}")
 
 
 def run_theorem_campaign(
@@ -448,18 +479,15 @@ def run_theorem_campaign(
     larger budget before being declared failures.  Structure checks (t, zero
     modes, singular values of G) run on the whole batch.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    _require_sample_count(n_samples, 1)
+    _require_int("seed", seed, 0)
     _require_positive("tolerance", tolerance)
     family = ZeroBlochFamily(family)
     solver = solver or SolverConfig(restarts=16)
     rng = np.random.default_rng(seed)
     params = [_sample_zero_bloch(family, rng) for _ in range(n_samples)]
     tensors = np.stack([canonical_to_state(p).tensor for p in params])
-    g2 = _solve_overlaps(tensors, solver)[0]
-    stragglers = np.flatnonzero(np.abs(g2 - 0.5) > 0.5 * tolerance)
-    if stragglers.size:
-        g2[stragglers] = _solve_overlaps(tensors[stragglers], solver.escalated())[0]
+    g2, rechecked = _solve_and_recheck(tensors, solver, lambda g: np.abs(g - 0.5) > 0.5 * tolerance)
 
     left, right = _zero_mode_residuals(tensors, 2)  # both families have b_C = 0
     max_sv = 0.0
@@ -481,6 +509,7 @@ def run_theorem_campaign(
         max_abs_t=float(np.abs(_sextic_t_trace(tensors)).max()),
         max_zero_mode_residual=float(max(left.max(), right.max())),
         max_singular_value_error=max_sv,
+        rechecked=rechecked,
         failures=failures,
     )
 
@@ -589,7 +618,8 @@ class InverseHit:
 @dataclass(frozen=True)
 class InverseSearchReport:
     """Empirical distribution of min(b_A, b_B, b_C) among states with
-    g^2 close to 1/2.  Exploratory only; no claim is attached.
+    g^2 close to 1/2.  ``hits`` lists the controls too, the quantiles cover
+    the sampled hits only.  Exploratory only; no claim is attached.
     """
 
     samples: int
@@ -630,9 +660,8 @@ def inverse_search(
     With ``include_controls`` a GHZ state and one sample from each zero-Bloch
     family are appended; they must appear among the hits.
     """
-    minimum = 0 if include_controls else 1  # at least one state to solve
-    if n_samples < minimum:
-        raise ValueError(f"n_samples must be at least {minimum}, got {n_samples}")
+    _require_sample_count(n_samples, 0 if include_controls else 1)  # at least one state to solve
+    _require_int("seed", seed, 0)
     _require_positive("filter_tol", filter_tol)
     solver = solver or SolverConfig(restarts=16)
     rng = np.random.default_rng(seed)
@@ -643,19 +672,16 @@ def inverse_search(
         states.append(canonical_to_state(_sample_zero_bloch(ZeroBlochFamily.QUADRILATERAL, rng)))
         states.append(canonical_to_state(_sample_zero_bloch(ZeroBlochFamily.H_NONZERO, rng)))
     tensors = np.stack([s.tensor for s in states])
-    near = np.flatnonzero(np.abs(_solve_overlaps(tensors, solver)[0] - 0.5) <= 10.0 * filter_tol)
-    g2 = _solve_overlaps(tensors[near], solver.escalated())[0] if near.size else np.zeros(0)
+    g2, _ = _solve_and_recheck(tensors, solver, lambda g: np.abs(g - 0.5) <= 10.0 * filter_tol)
     min_bloch = np.min([np.linalg.norm(_bloch(tensors, q), axis=1) for q in range(3)], axis=0)
     hits = [
-        InverseHit(int(i), float(value), float(min_bloch[i]), is_control=bool(i >= control_from))
-        for i, value in zip(near, g2)
-        if abs(value - 0.5) <= filter_tol
+        InverseHit(int(i), float(g2[i]), float(min_bloch[i]), is_control=bool(i >= control_from))
+        for i in np.flatnonzero(np.abs(g2 - 0.5) <= filter_tol)
     ]
-    values = np.array([h.min_bloch_length for h in hits]) if hits else np.array([])
-    quantiles = {}
-    if values.size:
-        for q in (0.0, 0.25, 0.5, 0.75, 1.0):
-            quantiles[f"q{int(q * 100):02d}"] = float(np.quantile(values, q))
+    sampled = [h.min_bloch_length for h in hits if not h.is_control]
+    quantiles = {
+        f"q{int(q * 100):02d}": float(np.quantile(sampled, q)) for q in (0.0, 0.25, 0.5, 0.75, 1.0)
+    } if sampled else {}
     return InverseSearchReport(
         samples=n_samples,
         seed=seed,

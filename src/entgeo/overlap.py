@@ -37,6 +37,7 @@ class SolverConfig:
         _require_int("restarts", self.restarts, 1)
         _require_int("max_iterations", self.max_iterations, 1)
         _require_positive("tol", self.tol)
+        _require_int("seed", self.seed, 0)
 
     def escalated(self) -> "SolverConfig":
         """The budget for re-solving stragglers: 4x the restarts and sweeps, the
@@ -115,50 +116,6 @@ def quarter_form(x, y, bloch_a, bloch_b, corr) -> float:
     if not all(np.isfinite(a).all() for a in (bloch_a, bloch_b, corr)):
         raise ValueError("bloch_a, bloch_b and corr must be finite")
     return float(0.25 * (1.0 + x @ bloch_a + y @ bloch_b + x @ (np.asarray(corr) @ y)))
-
-
-def maximize_quarter_form(
-    bloch_a, bloch_b, corr, restarts: int = 16, max_iterations: int = 2000,
-    tol: float = 1e-15, seed: int = 0,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Maximize the quarter form by alternating normalized updates.
-
-    x <- (G y + b_A)/|..|, y <- (G^T x + b_B)/|..| is an ascent step with
-    positive multipliers; several deterministic and random starts are kept.
-    Returns (value, x, y).
-    """
-    g = np.asarray(corr, dtype=float)
-    b_a = np.asarray(bloch_a, dtype=float)
-    b_b = np.asarray(bloch_b, dtype=float)
-    rng = np.random.default_rng(seed)
-    starts = [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])]
-    if np.linalg.norm(b_a) > 1e-12:
-        starts.append(b_a / np.linalg.norm(b_a))
-    for _ in range(restarts):
-        v = rng.normal(size=3)
-        starts.append(v / np.linalg.norm(v))
-    best = (-np.inf, starts[0], starts[0])
-    for x in starts:
-        x = x.copy()
-        y = np.array([0.0, 0.0, 1.0])
-        value = -np.inf
-        for _ in range(max_iterations):
-            u = g.T @ x + b_b
-            norm = np.linalg.norm(u)
-            if norm > 1e-300:
-                y = u / norm
-            u = g @ y + b_a
-            norm = np.linalg.norm(u)
-            if norm > 1e-300:
-                x = u / norm
-            new = 0.25 * (1.0 + x @ b_a + y @ b_b + x @ (g @ y))
-            if abs(new - value) < tol:
-                value = new
-                break
-            value = new
-        if value > best[0]:
-            best = (value, x, y)
-    return float(best[0]), best[1], best[2]
 
 
 def stationarity_residual(s: PureState, x, y, lam1: float, lam2: float) -> float:

@@ -272,32 +272,6 @@ def permute_qubits(s: PureState, perm) -> PureState:
 # density matrices and partial traces
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix of dimension 2 or 4."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape not in ((2, 2), (4, 4)):
-            raise ValueError(f"density matrix must be 2x2 or 4x4, got {m.shape}")
-        if np.abs(m - m.conj().T).max() > NORM_ATOL:
-            raise ValueError("density matrix is not Hermitian within 1e-12")
-        if abs(np.trace(m).real - 1.0) > NORM_ATOL:
-            raise ValueError("density matrix trace differs from 1 by more than 1e-12")
-        if np.linalg.eigvalsh(m).min() < -1e-10:
-            raise ValueError("density matrix has an eigenvalue below -1e-10")
-        object.__setattr__(self, "matrix", _readonly(m))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
-
 def _rho(tensors: np.ndarray, qubits) -> np.ndarray:
     """(S, 2**k, 2**k) reduced density matrices of the k listed qubits of an
     (S, 2, ..., 2) batch; the first listed qubit is the most significant."""
@@ -307,21 +281,21 @@ def _rho(tensors: np.ndarray, qubits) -> np.ndarray:
     return m @ m.conj().transpose(0, 2, 1)
 
 
-def partial_trace_single(s: PureState, q: int) -> DensityMatrix:
-    """Reduced density matrix of qubit ``q``."""
+def partial_trace_single(s: PureState, q: int) -> np.ndarray:
+    """2x2 reduced density matrix of qubit ``q``."""
     if not 0 <= q < s.n_qubits:
         raise ValueError(f"qubit index {q} out of range")
-    return DensityMatrix(_rho(s.tensor[None], [q])[0])
+    return _rho(s.tensor[None], [q])[0]
 
 
-def partial_trace_pair(s: PureState, q1: int, q2: int) -> DensityMatrix:
-    """Two-qubit reduced density matrix; ``q1`` is the more significant qubit."""
+def partial_trace_pair(s: PureState, q1: int, q2: int) -> np.ndarray:
+    """4x4 two-qubit reduced density matrix; ``q1`` is the more significant qubit."""
     if q1 == q2:
         raise ValueError("q1 and q2 must differ")
     for q in (q1, q2):
         if not 0 <= q < s.n_qubits:
             raise ValueError(f"qubit index {q} out of range")
-    return DensityMatrix(_rho(s.tensor[None], [q1, q2])[0])
+    return _rho(s.tensor[None], [q1, q2])[0]
 
 
 # --------------------------------------------------------------------------

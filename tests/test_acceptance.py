@@ -35,6 +35,7 @@ from entgeo import (
     three_tangle_canonical,
     wn_overlap,
 )
+from entgeo.overlap import _solve_overlaps
 from entgeo.states import ZeroBlochFamily, _sample_zero_bloch
 
 from oracles import grid_overlap_sq
@@ -100,16 +101,19 @@ def test_criterion_04_dual_formula_suite():
 
 
 def test_criterion_05_lu_invariance_suite():
-    """1,000 (state, random LU) pairs: invariant drift <= 1e-10, g^2 drift <= 1e-7."""
+    """1,000 (state, random LU) pairs: invariant drift <= 1e-10, g^2 drift <= 1e-7.
+
+    The 2,000 overlaps are one batched solve."""
     worst_inv = 0.0
-    worst_g2 = 0.0
+    originals, rotations = [], []
     for seed in range(1000):
         s = haar_random_state(3, seed=10_000 + seed)
         rotated = apply_local_unitary(s, LocalUnitary.random(3, seed=20_000 + seed))
         worst_inv = max(worst_inv, invariant_set(s).max_abs_diff(invariant_set(rotated)))
-        g2 = nearest_product_state(s, FAST).g_squared
-        g2_rot = nearest_product_state(rotated, FAST).g_squared
-        worst_g2 = max(worst_g2, abs(g2 - g2_rot))
+        originals.append(s.tensor)
+        rotations.append(rotated.tensor)
+    g2 = _solve_overlaps(np.stack(originals + rotations), FAST)[0]
+    worst_g2 = float(np.abs(g2[:1000] - g2[1000:]).max())
     ok = worst_inv <= 1e-10 and worst_g2 <= 1e-7
     report(5, ok, f"LU invariance on 1000 pairs: max invariant drift = {worst_inv:.3e} (tol 1e-10), "
                   f"max g^2 drift = {worst_g2:.3e} (tol 1e-7)")
@@ -171,17 +175,19 @@ def test_criterion_07_branch_closed_forms():
 
 def test_criterion_08_quadrilateral_oracle_equivalence():
     """500 feasible quadrilateral states: closed-form vs numeric g within 1e-7
-    and the nearest-product overlap reproduces the closed form within 1e-10."""
+    and the nearest-product overlap reproduces the closed form within 1e-10.
+
+    The 500 numeric overlaps are one batched solve."""
     rng = np.random.default_rng(7)
-    worst_numeric = worst_product = 0.0
-    for _ in range(500):
-        p = random_feasible_quadrilateral(rng)
-        g_closed = quadrilateral_overlap(p)
-        state = p.to_state()
-        g_numeric = math.sqrt(nearest_product_state(state, FAST).g_squared)
-        worst_numeric = max(worst_numeric, abs(g_closed - g_numeric))
-        g_product = overlap_with_product(state, quadrilateral_nearest(p))
-        worst_product = max(worst_product, abs(g_closed - g_product))
+    params = [random_feasible_quadrilateral(rng) for _ in range(500)]
+    states = [p.to_state() for p in params]
+    g_closed = np.array([quadrilateral_overlap(p) for p in params])
+    g_numeric = np.sqrt(_solve_overlaps(np.stack([s.tensor for s in states]), FAST)[0])
+    g_product = np.array(
+        [overlap_with_product(s, quadrilateral_nearest(p)) for s, p in zip(states, params)]
+    )
+    worst_numeric = float(np.abs(g_closed - g_numeric).max())
+    worst_product = float(np.abs(g_closed - g_product).max())
     ok = worst_numeric <= 1e-7 and worst_product <= 1e-10
     report(8, ok, f"quadrilateral closed form on 500 samples: max |closed - numeric| = "
                   f"{worst_numeric:.3e} (tol 1e-7), max nearest-product gap = "
@@ -189,13 +195,13 @@ def test_criterion_08_quadrilateral_oracle_equivalence():
 
 
 def test_criterion_09_solver_vs_brute_force():
-    """200 random 3-qubit states: solver within 1e-6 of the dense-grid oracle."""
-    worst = 0.0
-    for seed in range(200):
-        s = haar_random_state(3, seed=30_000 + seed)
-        solver = nearest_product_state(s, FAST).g_squared
-        oracle = grid_overlap_sq(s.amplitudes)
-        worst = max(worst, abs(solver - oracle))
+    """200 random 3-qubit states: solver within 1e-6 of the dense-grid oracle.
+
+    The 200 solver values are one batched solve."""
+    states = [haar_random_state(3, seed=30_000 + seed) for seed in range(200)]
+    solver = _solve_overlaps(np.stack([s.tensor for s in states]), FAST)[0]
+    oracle = np.array([grid_overlap_sq(s.amplitudes) for s in states])
+    worst = float(np.abs(solver - oracle).max())
     ok = worst <= 1e-6
     report(9, ok, f"solver vs 2-degree grid + refinement on 200 states: max gap = {worst:.3e} (tol 1e-6)")
 

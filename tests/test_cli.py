@@ -140,6 +140,12 @@ class TestOverlapCommand:
         assert out == ""
         assert err == f"error: tol must be a finite number > 0, got {float(tol)!r}\n"
 
+    def test_negative_seed_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "overlap", "--builtin", "ghz", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be an integer >= 0, got -1\n"
+
     def test_bad_solver_restarts_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "overlap", "--builtin", "ghz", "--restarts", "0")
         assert code == 2
@@ -259,6 +265,13 @@ class TestInverseSearchCommand:
         doc = json.loads(out)
         controls = [h for h in doc["hits"] if h["is_control"]]
         assert len(controls) == 3
+
+    def test_count_leaves_out_controls(self, capsys):
+        code, out, _ = run_cli(capsys, "inverse-search", "--samples", "200", "--seed", "0")
+        assert code == 0
+        assert "inverse search: 0 of 200 sampled states (plus controls)" in out
+        assert out.count("[control]") == 3
+        assert "quantiles" not in out
 
     def test_negative_sample_count_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "inverse-search", "--samples", "-3")

@@ -36,8 +36,11 @@ from entgeo import (
 from entgeo import closedform
 from entgeo.closedform import _zero_mode_residuals
 from entgeo.overlap import _solve_overlaps
+from entgeo.states import ZeroBlochFamily, _sample_zero_bloch
 
 FAST = SolverConfig(restarts=16)
+# a budget too small for the first pass, so that samples get re-solved
+STRAGGLING = SolverConfig(restarts=2, max_iterations=3, seed=3)
 
 
 class TestQuadrilateralParams:
@@ -236,6 +239,13 @@ class TestTheoremCheck:
             assert report.closed_form_g_squared == pytest.approx(0.5, abs=1e-10)
             assert report.numeric_g_squared == pytest.approx(0.5, abs=1e-7)
 
+    def test_stragglers_rechecked(self):
+        # the campaign's samples under a budget that leaves some off 1/2 at first
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            p = _sample_zero_bloch(ZeroBlochFamily.QUADRILATERAL, rng)
+            assert theorem_check(p, solver=STRAGGLING).passed
+
     @pytest.mark.parametrize("permutation", [(2, 0, 1), (0, 2, 1), (2, 1, 0)])
     def test_permuted_variants_pass(self, permutation):
         for seed in range(5):
@@ -286,10 +296,20 @@ class TestTheoremCheck:
         assert report.max_zero_mode_residual == pytest.approx(max_zero, abs=1e-15)
         assert report.max_singular_value_error == pytest.approx(max_sv, abs=1e-15)
 
-    @pytest.mark.parametrize("n_samples", [0, -3])
+    @pytest.mark.parametrize("n_samples", [0, -3, 2.5, True, None])
     def test_campaign_sample_count_validated(self, n_samples):
         with pytest.raises(ValueError, match="n_samples"):
             run_theorem_campaign("quadrilateral", n_samples)
+
+    @pytest.mark.parametrize("bad", [None, -1, 1.5, True])
+    def test_campaign_seed_validated(self, bad):
+        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {bad!r}"):
+            run_theorem_campaign("quadrilateral", 5, seed=bad)
+
+    def test_campaign_seed_accepts_numpy_integer(self):
+        assert run_theorem_campaign("quadrilateral", 5, seed=np.int64(3)) == run_theorem_campaign(
+            "quadrilateral", 5, seed=3
+        )
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-7])
     def test_tolerance_validated(self, bad):
@@ -432,11 +452,23 @@ class TestBatchedResolve:
         g2[stragglers] = direct
         assert report.passed
         assert report.max_g2_error == float(np.abs(g2 - 0.5).max()) <= 1e-7
+        assert report.rechecked == stragglers.size == 23
+        assert report.to_dict()["rechecked"] == 23
 
     def test_campaign_without_stragglers_solves_once(self, monkeypatch):
         calls = self.record(monkeypatch)
-        assert run_theorem_campaign("h-nonzero", 50, seed=2).passed
+        report = run_theorem_campaign("h-nonzero", 50, seed=2)
+        assert report.passed and report.rechecked == 0
         assert len(calls) == 1
+
+    def test_theorem_check_resolves_a_straggler(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        p = [_sample_zero_bloch(ZeroBlochFamily.QUADRILATERAL, rng) for _ in range(2)][1]
+        calls = self.record(monkeypatch)
+        report = theorem_check(p, solver=STRAGGLING)
+        assert [cfg for _, cfg, _ in calls] == [STRAGGLING, STRAGGLING.escalated()]
+        assert abs(calls[0][2][0] - 0.5) > 1e-3  # the first pass misses 1/2
+        assert report.passed and report.numeric_g_squared == calls[1][2][0]
 
     def test_inverse_search_refines_in_one_batch(self, monkeypatch):
         calls = self.record(monkeypatch)
@@ -470,14 +502,29 @@ class TestInverseSearch:
         doc = report.to_dict()
         assert doc["samples"] == 10
         assert doc["n_hits"] == len(doc["hits"])
-        if doc["hits"]:
+        if any(not h["is_control"] for h in doc["hits"]):
             assert set(doc["min_bloch_quantiles"]) == {"q00", "q25", "q50", "q75", "q100"}
+
+    def test_controls_kept_out_of_quantiles(self):
+        report = inverse_search(200, seed=0)
+        assert [h.is_control for h in report.hits] == [True, True, True]
+        assert [h.index for h in report.hits] == [200, 201, 202]
+        assert report.min_bloch_quantiles == {}
+        assert report.to_dict()["n_hits"] == 3
 
     def test_sample_count_validated(self):
         with pytest.raises(ValueError, match="n_samples must be at least 0, got -1"):
             inverse_search(-1)
         with pytest.raises(ValueError, match="n_samples must be at least 1, got 0"):
             inverse_search(0, include_controls=False)
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match=f"n_samples must be an integer, got {bad!r}"):
+                inverse_search(bad)
+
+    @pytest.mark.parametrize("bad", [None, -1, 1.5, True])
+    def test_seed_validated(self, bad):
+        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {bad!r}"):
+            inverse_search(5, seed=bad)
 
     def test_controls_alone(self):
         report = inverse_search(0, seed=4)

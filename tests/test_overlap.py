@@ -16,7 +16,6 @@ from entgeo import (
     geometric_measure,
     ghz_state,
     haar_random_state,
-    maximize_quarter_form,
     nearest_product_state,
     overlap_with_product,
     permute_qubits,
@@ -141,13 +140,19 @@ class TestSolverContracts:
         with pytest.raises(ValueError, match=f"{field} must be an integer >= 1, got {bad!r}"):
             SolverConfig(**{field: bad})
 
+    @pytest.mark.parametrize("bad", [None, -1, 1.5, True])
+    def test_config_seed_named(self, bad):
+        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {bad!r}"):
+            SolverConfig(seed=bad)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1e-13, True, "1e-13"])
     def test_config_tol_named(self, bad):
         with pytest.raises(ValueError, match="tol must be a finite number > 0"):
             SolverConfig(tol=bad)
 
     def test_config_accepts_numpy_scalars(self):
-        cfg = SolverConfig(restarts=np.int64(3), max_iterations=np.int32(40), tol=np.float64(1e-9))
+        cfg = SolverConfig(restarts=np.int64(3), max_iterations=np.int32(40), tol=np.float64(1e-9),
+                           seed=np.uint8(2))
         assert nearest_product_state(ghz_state(3), cfg).g_squared == pytest.approx(0.5, abs=1e-12)
 
 
@@ -185,14 +190,14 @@ class TestQuarterForm:
             quarter_form(z, z, b_a, b_b, np.where(np.eye(3) > 0, bad, g))
 
     def test_maximum_equals_solver(self):
+        # the form at the solver's Bloch vectors x, y reproduces its g^2
         for seed in range(15):
             s = haar_random_state(3, seed=seed)
-            value, x, y = maximize_quarter_form(
-                bloch_vector(s, 0), bloch_vector(s, 1), correlation_matrix(s, 0, 1),
-                seed=seed,
-            )
-            solver = nearest_product_state(s, FAST).g_squared
-            assert value == pytest.approx(solver, abs=1e-9)
+            result = nearest_product_state(s, FAST)
+            x, y = (spinor_to_bloch(sp) for sp in result.product.spinors[:2])
+            value = quarter_form(x, y, bloch_vector(s, 0), bloch_vector(s, 1),
+                                 correlation_matrix(s, 0, 1))
+            assert value == pytest.approx(result.g_squared, abs=1e-9)
 
 
 class TestStationarityResidual:

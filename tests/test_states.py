@@ -170,47 +170,47 @@ class TestPartialTraces:
     def test_ghz_single_marginals_maximally_mixed(self):
         for q in range(3):
             rho = partial_trace_single(ghz_state(3), q)
-            assert np.allclose(rho.matrix, np.eye(2) / 2)
+            assert np.allclose(rho, np.eye(2) / 2)
 
     def test_basis_state_marginal_pure(self):
         rho = partial_trace_single(basis_state(3, 0), 0)
-        assert np.allclose(rho.matrix, [[1, 0], [0, 0]])
+        assert np.allclose(rho, [[1, 0], [0, 0]])
 
     def test_w_state_marginal(self):
         rho = partial_trace_single(w_state(3), 0)
-        assert np.allclose(rho.matrix, np.diag([2 / 3, 1 / 3]), atol=1e-12)
+        assert np.allclose(rho, np.diag([2 / 3, 1 / 3]), atol=1e-12)
 
     def test_against_dense_oracle(self):
         s = haar_random_state(3, seed=5)
         for q in range(3):
             expect = dense_rho_single(s.amplitudes, 3, q)
-            assert np.abs(partial_trace_single(s, q).matrix - expect).max() < 1e-12
+            assert np.abs(partial_trace_single(s, q) - expect).max() < 1e-12
 
     def test_pair_ghz(self):
         rho = partial_trace_pair(ghz_state(3), 0, 1)
-        assert np.allclose(rho.matrix, np.diag([0.5, 0, 0, 0.5]))
+        assert np.allclose(rho, np.diag([0.5, 0, 0, 0.5]))
 
     def test_pair_basis(self):
         rho = partial_trace_pair(basis_state(3, 0), 0, 1)
         expect = np.zeros((4, 4))
         expect[0, 0] = 1.0
-        assert np.allclose(rho.matrix, expect)
+        assert np.allclose(rho, expect)
 
     def test_pair_w_eigenvalues(self):
         rho = partial_trace_pair(w_state(3), 0, 1)
-        eig = np.sort(np.linalg.eigvalsh(rho.matrix))
+        eig = np.sort(np.linalg.eigvalsh(rho))
         assert np.allclose(eig, [0, 0, 1 / 3, 2 / 3], atol=1e-12)
 
     def test_pair_against_dense_oracle(self):
         s = haar_random_state(3, seed=6)
         expect = dense_rho_pair(s.amplitudes, 3, 0, 2)
-        assert np.abs(partial_trace_pair(s, 0, 2).matrix - expect).max() < 1e-12
+        assert np.abs(partial_trace_pair(s, 0, 2) - expect).max() < 1e-12
 
     def test_pair_qubit_order(self):
         # |01>: qubit A=0, B=1 -> pair index 1 when q1=A, index 2 when q1=B
         s = basis_state(2, 1)
-        assert partial_trace_pair(s, 0, 1).matrix[1, 1] == pytest.approx(1.0)
-        assert partial_trace_pair(s, 1, 0).matrix[2, 2] == pytest.approx(1.0)
+        assert partial_trace_pair(s, 0, 1)[1, 1] == pytest.approx(1.0)
+        assert partial_trace_pair(s, 1, 0)[2, 2] == pytest.approx(1.0)
 
     def test_index_errors(self):
         with pytest.raises(ValueError):
@@ -221,8 +221,8 @@ class TestPartialTraces:
     def test_schmidt_symmetry_two_qubits(self):
         for seed in range(20):
             s = haar_random_state(2, seed=seed)
-            e0 = np.sort(np.linalg.eigvalsh(partial_trace_single(s, 0).matrix))
-            e1 = np.sort(np.linalg.eigvalsh(partial_trace_single(s, 1).matrix))
+            e0 = np.sort(np.linalg.eigvalsh(partial_trace_single(s, 0)))
+            e1 = np.sort(np.linalg.eigvalsh(partial_trace_single(s, 1)))
             assert np.abs(e0 - e1).max() < 1e-12
 
 
