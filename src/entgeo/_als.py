@@ -16,18 +16,31 @@ from __future__ import annotations
 
 import numpy as np
 
+# default sweep cap and per-sweep freeze tolerance of every ALS solve
+MAX_ITERATIONS = 500
+TOL = 1e-13
+
 _POLISH_STEPS = 12
 _PERP_SIGNS = np.array([-1.0, 1.0])
+
+
+def _spinors_from_bloch(z, phi) -> np.ndarray:
+    """Spinors (..., 2) with Bloch z-component ``z`` and azimuth ``phi``, |0> part real >= 0."""
+    return np.stack([np.sqrt(np.maximum(1.0 + z, 0.0) / 2.0) + 0j,
+                     np.exp(1j * phi) * np.sqrt(np.maximum(1.0 - z, 0.0) / 2.0)], axis=-1)
+
+
+def _bloch_from_spinors(spinors: np.ndarray) -> np.ndarray:
+    """Bloch vectors (..., 3) of normalized spinors (..., 2)."""
+    cross = spinors[..., 0].conj() * spinors[..., 1]
+    z = np.abs(spinors[..., 0]) ** 2 - np.abs(spinors[..., 1]) ** 2
+    return np.stack([2.0 * cross.real, 2.0 * cross.imag, z], axis=-1)
 
 
 def haar_bloch_spinors(rng: np.random.Generator, shape) -> np.ndarray:
     """Spinors whose Bloch vectors are uniform on the sphere, shape ``(*shape, 2)``."""
     z = rng.uniform(-1.0, 1.0, size=shape)
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=shape)
-    return np.stack(
-        [np.sqrt((1.0 + z) / 2.0) + 0j, np.exp(1j * phi) * np.sqrt((1.0 - z) / 2.0)],
-        axis=-1,
-    )
+    return _spinors_from_bloch(z, rng.uniform(0.0, 2.0 * np.pi, size=shape))
 
 
 def _initial_spinors(psis: np.ndarray, restarts: int, seed) -> list[np.ndarray]:
@@ -138,23 +151,33 @@ def _perp(e: np.ndarray) -> np.ndarray:
     return e[..., ::-1].conj() * _PERP_SIGNS
 
 
-def _cross_amplitudes(psi_conj: np.ndarray, spinors: list[np.ndarray]):
-    """Contractions with one or two spinors replaced by their complements.
+def _frame_amplitudes(psi_conj: np.ndarray, spinors: list[np.ndarray]) -> np.ndarray:
+    """Conjugated amplitudes (S, 2**n) of states in their product frames.
 
-    ``psi_conj`` is an (S, 2, ..., 2) batch and ``spinors`` n arrays (S, 2).
-    Returns the symmetric (S, n, n) matrices C and the (S,) overlaps g.
-    C[s, q, k] has the complement at qubits q and k; its diagonal C[s, q, q],
-    with the complement at q alone, vanishes exactly at a stationary point of
-    the product overlap.
+    ``psi_conj`` is an (S, 2, ..., 2) batch of conjugated states and
+    ``spinors`` n arrays (S, 2).  Qubit q of row s is read in the basis
+    (e, perp(e)) of its spinor e = spinors[q][s], bit 0 picking e; entry 0 is
+    the overlap <psi | e_0 ... e_{n-1}>.
     """
     n_states, n = psi_conj.shape[0], psi_conj.ndim - 1
     shape = (n_states, 2, 2 ** (n - 1))
     t = psi_conj.reshape(shape)
     for e in spinors:
-        # basis (e, perp(e)) on the leading qubit, its index appended last:
-        # 0 picks the spinor, 1 its complement
+        # basis (e, perp(e)) on the leading qubit, its index appended last
         t = (t.transpose(0, 2, 1) @ np.stack([e, _perp(e)], axis=-1)).reshape(shape)
-    flat = t.reshape(n_states, -1)
+    return t.reshape(n_states, -1)
+
+
+def _cross_amplitudes(psi_conj: np.ndarray, spinors: list[np.ndarray]):
+    """Frame amplitudes with one or two spinors replaced by their complements.
+
+    Returns the symmetric (S, n, n) matrices C and the (S,) overlaps g.
+    C[s, q, k] has the complement at qubits q and k; its diagonal C[s, q, q],
+    with the complement at q alone, vanishes exactly at a stationary point of
+    the product overlap.
+    """
+    flat = _frame_amplitudes(psi_conj, spinors)
+    n = len(spinors)
     bits = 1 << (n - 1 - np.arange(n))
     return flat[:, bits[:, None] | bits[None, :]], flat[:, 0]
 

@@ -258,19 +258,10 @@ def _cmd_verify_theorem(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    if args.name == "ghz-sweep":
-        return _demo_ghz(args)
-    if args.name == "wn":
-        return _demo_wn(args)
-    if args.name == "dicke4":
-        return _demo_dicke4(args)
-    if args.name == "quadrilateral":
-        return _demo_quadrilateral(args)
-    raise InputError(f"unknown demo {args.name!r}")
+    return _DEMOS[args.name](args, SolverConfig(restarts=args.restarts, seed=args.seed))
 
 
-def _demo_ghz(args) -> int:
-    cfg = SolverConfig(restarts=args.restarts, seed=args.seed)
+def _demo_ghz(args, cfg: SolverConfig) -> int:
     rows = []
     for n in (2, 3, 4, 5):
         for k in range(7):
@@ -290,8 +281,7 @@ def _demo_ghz(args) -> int:
     return EXIT_OK
 
 
-def _demo_wn(args) -> int:
-    cfg = SolverConfig(restarts=args.restarts, seed=args.seed)
+def _demo_wn(args, cfg: SolverConfig) -> int:
     cases = [
         [1 / math.sqrt(3)] * 3,
         [1 / math.sqrt(2), 0.5, 0.5],
@@ -317,8 +307,7 @@ def _demo_wn(args) -> int:
     return EXIT_OK
 
 
-def _demo_dicke4(args) -> int:
-    cfg = SolverConfig(restarts=args.restarts, seed=args.seed)
+def _demo_dicke4(args, cfg: SolverConfig) -> int:
     state = dicke4_state()
     lengths = [float(np.linalg.norm(bloch_vector(state, q))) for q in range(4)]
     g2 = nearest_product_state(state, cfg).g_squared
@@ -336,8 +325,7 @@ def _demo_dicke4(args) -> int:
     return EXIT_OK
 
 
-def _demo_quadrilateral(args) -> int:
-    cfg = SolverConfig(restarts=args.restarts, seed=args.seed)
+def _demo_quadrilateral(args, cfg: SolverConfig) -> int:
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     rows = []
@@ -362,6 +350,10 @@ def _demo_quadrilateral(args) -> int:
             print(f"  sides=({sides}): closed={c:.10f} numeric={m:.10f} |diff|={d:.2e}")
         print(f"  ... max |closed - numeric| over 100 samples: {worst:.3e}")
     return EXIT_OK
+
+
+_DEMOS = {"ghz-sweep": _demo_ghz, "wn": _demo_wn, "dicke4": _demo_dicke4,
+          "quadrilateral": _demo_quadrilateral}
 
 
 def _cmd_inverse_search(args) -> int:
@@ -399,8 +391,8 @@ def _add_state_source(p: argparse.ArgumentParser):
 
 def _add_solver_flags(p: argparse.ArgumentParser, restarts: int = 64):
     p.add_argument("--restarts", type=int, default=restarts, metavar="N")
-    p.add_argument("--max-iters", type=int, default=500, metavar="N")
-    p.add_argument("--tol", type=float, default=1e-13, metavar="X")
+    p.add_argument("--max-iters", type=int, default=SolverConfig.max_iterations, metavar="N")
+    p.add_argument("--tol", type=float, default=SolverConfig.tol, metavar="X")
     p.add_argument("--seed", type=int, default=0, metavar="N")
 
 
@@ -439,13 +431,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-7, metavar="X",
                    help="pass tolerance on |g^2 - 1/2|")
     p.add_argument("--restarts", type=int, default=16, metavar="N")
-    p.add_argument("--max-iters", type=int, default=500, metavar="N")
+    p.add_argument("--max-iters", type=int, default=SolverConfig.max_iterations, metavar="N")
     p.add_argument("--format", choices=("human", "structured"), default="human")
     p.set_defaults(func=_cmd_verify_theorem)
 
     p = sub.add_parser("demo", help="reproduce the example families")
-    p.add_argument("--name", required=True,
-                   choices=("ghz-sweep", "wn", "dicke4", "quadrilateral"))
+    p.add_argument("--name", required=True, choices=tuple(_DEMOS))
     p.add_argument("--restarts", type=int, default=16, metavar="N")
     p.add_argument("--seed", type=int, default=0, metavar="N")
     p.add_argument("--format", choices=("human", "structured"), default="human")

@@ -652,25 +652,23 @@ def inverse_search(
     seed: int = 0,
     solver: SolverConfig | None = None,
     filter_tol: float = 1e-4,
-    include_controls: bool = True,
 ) -> InverseSearchReport:
     """Sample Haar states, keep those with |g^2 - 1/2| <= ``filter_tol`` and
     record the smallest Bloch length of each.
 
-    With ``include_controls`` a GHZ state and one sample from each zero-Bloch
-    family are appended; they must appear among the hits.
+    A GHZ state and one sample from each zero-Bloch family are appended as
+    controls; they must appear among the hits.
     """
-    _require_sample_count(n_samples, 0 if include_controls else 1)  # at least one state to solve
+    _require_sample_count(n_samples, 0)
     _require_int("seed", seed, 0)
     _require_positive("filter_tol", filter_tol)
     solver = solver or SolverConfig(restarts=16)
     rng = np.random.default_rng(seed)
     states = [haar_random_state(3, rng) for _ in range(n_samples)]
     control_from = len(states)
-    if include_controls:
-        states.append(ghz_state(3))
-        states.append(canonical_to_state(_sample_zero_bloch(ZeroBlochFamily.QUADRILATERAL, rng)))
-        states.append(canonical_to_state(_sample_zero_bloch(ZeroBlochFamily.H_NONZERO, rng)))
+    states.append(ghz_state(3))
+    states.append(canonical_to_state(_sample_zero_bloch(ZeroBlochFamily.QUADRILATERAL, rng)))
+    states.append(canonical_to_state(_sample_zero_bloch(ZeroBlochFamily.H_NONZERO, rng)))
     tensors = np.stack([s.tensor for s in states])
     g2, _ = _solve_and_recheck(tensors, solver, lambda g: np.abs(g - 0.5) <= 10.0 * filter_tol)
     min_bloch = np.min([np.linalg.norm(_bloch(tensors, q), axis=1) for q in range(3)], axis=0)

@@ -29,8 +29,8 @@ class SolverConfig:
     """
 
     restarts: int = 64
-    max_iterations: int = 500
-    tol: float = 1e-13
+    max_iterations: int = _als.MAX_ITERATIONS
+    tol: float = _als.TOL
     seed: int = 0
 
     def __post_init__(self):
@@ -80,10 +80,7 @@ def bloch_to_spinor(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if _off_unit(v, 1e-10):
         raise ValueError("input must be a finite unit 3-vector")
-    phi = math.atan2(v[1], v[0])
-    c0 = math.sqrt(max(1.0 + v[2], 0.0) / 2.0)
-    c1 = math.sqrt(max(1.0 - v[2], 0.0) / 2.0)
-    return np.array([c0, c1 * np.exp(1j * phi)])
+    return _als._spinors_from_bloch(v[2], math.atan2(v[1], v[0]))
 
 
 def spinor_to_bloch(spinor) -> np.ndarray:
@@ -91,8 +88,7 @@ def spinor_to_bloch(spinor) -> np.ndarray:
     c = np.asarray(spinor, dtype=complex).reshape(-1)
     if c.size != 2 or _off_unit(c, 1e-10):
         raise ValueError("input must be a finite normalized 2-spinor")
-    cross = np.conj(c[0]) * c[1]
-    return np.array([2.0 * cross.real, 2.0 * cross.imag, (abs(c[0]) ** 2 - abs(c[1]) ** 2)])
+    return _als._bloch_from_spinors(c)
 
 
 def geometric_measure(g_squared: float) -> float:
@@ -180,15 +176,10 @@ def nearest_product_state(s: PureState, cfg: SolverConfig | None = None) -> Over
     residual = float(residual[0])
     lagrange = None
     if s.n_qubits == 3:
-        x = spinor_to_bloch(product.spinors[0])
-        y = spinor_to_bloch(product.spinors[1])
-        b_a = bloch_vector(s, 0)
-        b_b = bloch_vector(s, 1)
-        g = correlation_matrix(s, 0, 1)
-        lam1 = float(x @ (g @ y + b_a))
-        lam2 = float(y @ (g.T @ x + b_b))
-        lagrange = (lam1, lam2)
-        residual = _bloch_residual(b_a, b_b, g, x, y, lam1, lam2)
+        x, y = _als._bloch_from_spinors(np.stack(product.spinors[:2]))
+        b_a, b_b, g = bloch_vector(s, 0), bloch_vector(s, 1), correlation_matrix(s, 0, 1)
+        lagrange = (float(x @ (g @ y + b_a)), float(y @ (g.T @ x + b_b)))
+        residual = _bloch_residual(b_a, b_b, g, x, y, *lagrange)
     return OverlapResult(
         g_squared=float(g_squared[0]),
         product=product,

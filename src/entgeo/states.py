@@ -390,10 +390,8 @@ def overlap_with_product(s: PureState, q: ProductState) -> float:
     """|<s | q_0 q_1 ... q_{n-1}>|."""
     if q.n_qubits != s.n_qubits:
         raise ValueError("qubit count mismatch between state and product ansatz")
-    t = s.tensor.conj()
-    for sp in q.spinors:
-        t = np.tensordot(t, sp, axes=([0], [0]))
-    return float(abs(t))
+    overlap = _als._frame_amplitudes(s.tensor.conj()[None], [sp[None] for sp in q.spinors])[0, 0]
+    return float(abs(overlap))
 
 
 # --------------------------------------------------------------------------
@@ -489,7 +487,6 @@ _PHASE_ROWS = {
     7: (1.0, 1.0, 1.0, 1.0),
 }
 _ZERO_AMP = 1e-10
-_CANON_MAX_ITERATIONS = 3000
 _CANON_RESIDUAL_TOL = 1e-9
 
 
@@ -523,49 +520,36 @@ def _phase_vector(theta: np.ndarray) -> np.ndarray:
     return np.exp(1j * total)
 
 
-def _canonical_rep(tensor: np.ndarray, spinors: list[np.ndarray]):
-    """Canonical parameters, unitaries and residual for one stationary branch."""
-    unitaries = [np.vstack([e.conj(), _als._perp(e).conj()]) for e in spinors]
-    t = tensor
-    for q, u in enumerate(unitaries):
-        t = np.moveaxis(np.tensordot(u, np.moveaxis(t, q, 0), axes=(1, 0)), 0, q)
-    amps = t.reshape(8)
+def _canonical_rep(amps: np.ndarray):
+    """Canonical parameters, gauge phases (thA, thB, thC, phi) and residual of
+    one stationary branch, from the 8 amplitudes of the state in its frame."""
     theta = _solve_phase_gauge(amps)
-    amps = amps * _phase_vector(theta)
-    gamma = float(np.angle(amps[7])) if abs(amps[7]) > _ZERO_AMP else 0.0
+    gauged = amps * _phase_vector(theta)
+    gamma = float(np.angle(gauged[7])) if abs(gauged[7]) > _ZERO_AMP else 0.0
     if gamma > math.pi / 2 or gamma <= -math.pi / 2:
         # adding pi to every qubit phase shifts gamma by pi and leaves the
         # other constrained amplitudes fixed
         theta = theta + np.array([math.pi, math.pi, math.pi, 0.0])
-        amps = t.reshape(8) * _phase_vector(theta)
-        gamma = float(np.angle(amps[7])) if abs(amps[7]) > _ZERO_AMP else 0.0
+        gauged = amps * _phase_vector(theta)
+        gamma = float(np.angle(gauged[7])) if abs(gauged[7]) > _ZERO_AMP else 0.0
     if abs(gamma) < 1e-12:
         gamma = 0.0
-    residual = float(np.sum(np.abs(amps[[1, 2, 4]]) ** 2))
+    residual = float(np.sum(np.abs(gauged[[1, 2, 4]]) ** 2))
     for i in (0, 3, 5, 6):
-        residual += float(amps[i].imag ** 2 + min(amps[i].real, 0.0) ** 2)
-    vals = np.abs(amps[[3, 5, 6, 0, 7]])
-    vals = vals / np.linalg.norm(vals)
-    params = CanonicalParams(
-        a=float(vals[0]), b=float(vals[1]), c=float(vals[2]),
-        d=float(vals[3]), h=float(vals[4]), gamma=gamma,
-    )
-    final = []
-    for q, u in enumerate(unitaries):
-        d = np.diag([1.0, np.exp(1j * theta[q])]).astype(complex)
-        m = d @ u
-        if q == 0:
-            m = np.exp(1j * theta[3]) * m
-        final.append(m)
-    return params, LocalUnitary(tuple(final)), residual
+        residual += float(gauged[i].imag ** 2 + min(gauged[i].real, 0.0) ** 2)
+    vals = np.abs(gauged[[3, 5, 6, 0, 7]])
+    a, b, c, d, h = (float(v) for v in vals / np.linalg.norm(vals))
+    return CanonicalParams(a, b, c, d, h, gamma), theta, residual
 
 
 def canonicalize(s: PureState, restarts: int = 32, seed=0) -> tuple[CanonicalParams, LocalUnitary]:
     """Find local unitaries taking a three-qubit state to its canonical form.
 
     Every stationary product state of the overlap with nonzero value yields a
-    representative; the search runs ``restarts`` random starts (an integer
-    >= 0) plus one basis start, Newton-polishes the distinct branches within
+    representative: the state read in the basis (e, perp(e)) of each qubit's
+    spinor e.  The search runs ``restarts`` random starts (an integer >= 0)
+    plus one basis start under the default solver budget, seeded with
+    ``seed`` (an integer >= 0), Newton-polishes the distinct branches within
     1e-6 of the best overlap as one batch, and among all representatives
     reaching a residual of 1e-9 returns the lexicographically largest
     (d, h, a, b, c), breaking remaining ties toward gamma >= 0.
@@ -576,16 +560,12 @@ def canonicalize(s: PureState, restarts: int = 32, seed=0) -> tuple[CanonicalPar
     if s.n_qubits != 3:
         raise ValueError("canonicalization is defined for three-qubit states")
     _require_int("restarts", restarts, 0)
+    _require_int("seed", seed, 0)
     tensor = s.tensor
-    run = _als.power_iteration(
-        tensor[None], restarts=restarts, max_iterations=_CANON_MAX_ITERATIONS, tol=1e-15,
-        seed=seed,
-    )
+    run = _als.power_iteration(tensor[None], restarts, _als.MAX_ITERATIONS, _als.TOL, seed)
     overlaps = run["g_squared"][0]
     spinors = [sp[0] for sp in run["spinors"]]  # n arrays (R, 2)
-    cross = np.stack([np.conj(sp[:, 0]) * sp[:, 1] for sp in spinors], axis=1)
-    z = np.stack([np.abs(sp[:, 0]) ** 2 - np.abs(sp[:, 1]) ** 2 for sp in spinors], axis=1)
-    blochs = np.stack([2.0 * cross.real, 2.0 * cross.imag, z], axis=2).reshape(len(overlaps), -1)
+    blochs = _als._bloch_from_spinors(np.stack(spinors, axis=1)).reshape(len(overlaps), -1)
     # only branches tied with the best overlap can win the (d, ...) tie-break,
     # since d equals the overlap at the branch's stationary point
     order = np.argsort(-overlaps, kind="stable")
@@ -593,31 +573,26 @@ def canonicalize(s: PureState, restarts: int = 32, seed=0) -> tuple[CanonicalPar
     # one branch per 6-decimal Bloch fingerprint, the first in overlap order
     _, first = np.unique(np.round(blochs[order], 6), axis=0, return_index=True)
     branches = order[np.sort(first)]
-    polished, _, _ = _als.polish_stationary(
-        np.broadcast_to(tensor, (len(branches),) + tensor.shape),
-        [sp[branches] for sp in spinors],
-    )
-    candidates = []
-    seen_params = set()
-    for k in range(len(branches)):
-        params, lu, residual = _canonical_rep(tensor, [sp[k] for sp in polished])
-        if residual > _CANON_RESIDUAL_TOL:
-            continue
-        key = tuple(np.round(params.as_tuple(), 7))
-        if key in seen_params:
-            continue
-        seen_params.add(key)
-        candidates.append((params, lu, residual))
+    psis = np.broadcast_to(tensor, (len(branches),) + tensor.shape)
+    polished, _, _ = _als.polish_stationary(psis, [sp[branches] for sp in spinors])
+    amps = _als._frame_amplitudes(psis.conj(), polished).conj()
+    reps = [_canonical_rep(a) for a in amps]
+    candidates = [k for k, (_, _, residual) in enumerate(reps) if residual <= _CANON_RESIDUAL_TOL]
     if not candidates:
         raise CanonicalizationError(
             f"no canonical representative reached residual {_CANON_RESIDUAL_TOL:g} "
             f"after {restarts} restarts"
         )
 
-    def sort_key(item):
-        p = item[0]
+    def sort_key(k):
+        p = reps[k][0]
         return tuple(round(v, 9) for v in (p.d, p.h, p.a, p.b, p.c)) + (p.gamma,)
 
-    candidates.sort(key=sort_key, reverse=True)
-    params, lu, _ = candidates[0]
-    return params, lu
+    k = max(candidates, key=sort_key)
+    params, theta, _ = reps[k]
+    # frame rows (e^dagger, perp(e)^dagger), the gauge phase on each |1> row
+    # and the global phase on qubit A
+    mats = [np.diag([1.0, np.exp(1j * th)]) @ np.stack([e[k], _als._perp(e[k])]).conj()
+            for th, e in zip(theta[:3], polished)]
+    mats[0] = np.exp(1j * theta[3]) * mats[0]
+    return params, LocalUnitary(tuple(mats))

@@ -9,6 +9,7 @@ from entgeo import (
     CanonicalParams,
     LocalUnitary,
     ProductState,
+    SolverConfig,
     apply_local_unitary,
     canonical_to_state,
     canonicalize,
@@ -145,6 +146,23 @@ class TestContracts:
     def test_restarts_validated(self, restarts):
         with pytest.raises(ValueError, match="restarts"):
             canonicalize(ghz_state(3), restarts=restarts)
+
+    @pytest.mark.parametrize("bad", [None, -1, 1.5, True])
+    def test_seed_validated(self, bad):
+        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {bad!r}"):
+            canonicalize(ghz_state(3), seed=bad)
+
+    def test_solver_budget(self, monkeypatch):
+        calls = []
+        run = _als.power_iteration
+
+        def recording(psis, restarts, max_iterations, tol, seed):
+            calls.append((max_iterations, tol))
+            return run(psis, restarts, max_iterations, tol, seed)
+
+        monkeypatch.setattr(_als, "power_iteration", recording)
+        canonicalize(haar_random_state(3, seed=8))
+        assert calls == [(SolverConfig().max_iterations, SolverConfig().tol)]
 
     def test_distinct_branches_polished_in_one_call(self, monkeypatch):
         calls = []

@@ -168,6 +168,12 @@ class TestCanonicalizeCommand:
         assert out == ""
         assert err == "error: restarts must be an integer >= 0, got -1\n"
 
+    def test_negative_seed_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "canonicalize", "--builtin", "ghz", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be an integer >= 0, got -1\n"
+
     def test_round_trips_through_state_format(self, capsys):
         code, out, _ = run_cli(capsys, "canonicalize", "--builtin", "w",
                                "--format", "structured")

@@ -96,6 +96,31 @@ class TestQuadrilateralOverlap:
         with pytest.raises(InfeasibleQuadrilateralError, match="numeric solver"):
             quadrilateral_overlap(p)
 
+    def test_zero_area_bell_pair(self):
+        # a Bell pair on A, B times |0> on C: feasible, but the quadrilateral is flat
+        p = QuadrilateralParams(1 / math.sqrt(2), 1 / math.sqrt(2), 0.0, 0.0)
+        assert p.is_feasible and quadrilateral_area(p) == 0.0
+        for closed_form in (quadrilateral_overlap, quadrilateral_nearest):
+            with pytest.raises(InfeasibleQuadrilateralError, match="collinear"):
+                closed_form(p)
+        assert nearest_product_state(p.to_state(), FAST).g_squared == pytest.approx(0.5, abs=1e-12)
+
+    def test_collinear_sides_raise(self):
+        sides = np.array([0.9, 0.3, 0.3, 0.3])  # a = b + c + d
+        p = QuadrilateralParams(*(sides / np.linalg.norm(sides)))
+        assert p.is_feasible
+        with pytest.raises(InfeasibleQuadrilateralError, match="collinear"):
+            quadrilateral_overlap(p)
+
+    def test_near_collinear_sides_have_negative_r(self):
+        # just inside the collinear edge the area is positive, but r_a < 0
+        sides = np.array([0.9 * (1 - 1e-6), 0.3, 0.3, 0.3])
+        p = QuadrilateralParams(*(sides / np.linalg.norm(sides)))
+        assert quadrilateral_area(p) == pytest.approx(2.9e-4, rel=0.01)
+        assert quadrilateral_r_coefficients(p).min() == pytest.approx(-0.385, abs=1e-3)
+        with pytest.raises(InfeasibleQuadrilateralError, match="negative"):
+            quadrilateral_overlap(p)
+
     def test_triangle_limit(self):
         # d = 0 reduces to Heron's formula; uniform W state gives g = 2/3
         s3 = 1 / math.sqrt(3)
@@ -515,8 +540,6 @@ class TestInverseSearch:
     def test_sample_count_validated(self):
         with pytest.raises(ValueError, match="n_samples must be at least 0, got -1"):
             inverse_search(-1)
-        with pytest.raises(ValueError, match="n_samples must be at least 1, got 0"):
-            inverse_search(0, include_controls=False)
         for bad in (2.5, True):
             with pytest.raises(ValueError, match=f"n_samples must be an integer, got {bad!r}"):
                 inverse_search(bad)
@@ -531,8 +554,8 @@ class TestInverseSearch:
         assert [h.is_control for h in report.hits] == [True, True, True]
 
     def test_no_state_near_half(self):
-        report = inverse_search(2, seed=1, filter_tol=1e-9, include_controls=False)
-        assert report.hits == () and report.min_bloch_quantiles == {}
+        report = inverse_search(2, seed=1, filter_tol=1e-9)
+        assert all(h.is_control for h in report.hits) and report.min_bloch_quantiles == {}
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1e-4, True, "1e-4"])
     def test_filter_tol_validated(self, bad):

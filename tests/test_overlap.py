@@ -400,6 +400,37 @@ def _best_runs(tensors, cfg):
     return [np.array(column) for column in zip(*best)]
 
 
+class TestFrameAmplitudes:
+    @staticmethod
+    def _batch(n, seed):
+        rng = np.random.default_rng(seed)
+        states = [haar_random_state(n, seed=rng) for _ in range(3)]
+        spinors = list(_als.haar_bloch_spinors(rng, (n, 3)))  # n arrays (3, 2)
+        frame = _als._frame_amplitudes(np.stack([s.tensor.conj() for s in states]), spinors)
+        return states, spinors, frame
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_conjugate_of_local_unitary_image(self, n):
+        states, spinors, frame = self._batch(n, 70 + n)
+        for i, s in enumerate(states):
+            # rows e^dagger and perp(e)^dagger, perp(e) = (-conj(e1), conj(e0))
+            rows = [np.array([[e0.conj(), e1.conj()], [-e1, e0]]) for e0, e1 in
+                    (sp[i] for sp in spinors)]
+            image = apply_local_unitary(s, LocalUnitary(tuple(rows))).amplitudes
+            assert np.abs(frame[i].conj() - image).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_single_flips_and_overlap(self, n):
+        states, spinors, frame = self._batch(n, 80 + n)
+        cross, g = _als._cross_amplitudes(np.stack([s.tensor.conj() for s in states]), spinors)
+        flips = frame[:, 1 << (n - 1 - np.arange(n))]
+        assert np.array_equal(flips, np.diagonal(cross, axis1=1, axis2=2))
+        assert np.array_equal(frame[:, 0], g)
+        for i, s in enumerate(states):
+            product = ProductState(tuple(sp[i] for sp in spinors))
+            assert overlap_with_product(s, product) == pytest.approx(abs(frame[i, 0]), abs=1e-15)
+
+
 class TestSolvePath:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_closed_form_jacobian_matches_finite_differences(self, n):
