@@ -391,8 +391,12 @@ def _add_state_source(p: argparse.ArgumentParser):
 
 def _add_solver_flags(p: argparse.ArgumentParser, restarts: int = 64):
     p.add_argument("--restarts", type=int, default=restarts, metavar="N")
-    p.add_argument("--max-iters", type=int, default=SolverConfig.max_iterations, metavar="N")
-    p.add_argument("--tol", type=float, default=SolverConfig.tol, metavar="X")
+    p.add_argument("--max-iters", type=int, default=SolverConfig.max_iterations, metavar="N",
+                   help="sweep cap of each alternating run, in either pass")
+    p.add_argument("--tol", type=float, default=SolverConfig.tol, metavar="X",
+                   help="ALS freeze tolerance of the re-solve pass, which reruns only the "
+                        "states whose Newton polish stalls; the first pass freezes at "
+                        "max(X, 1e-6)")
     p.add_argument("--seed", type=int, default=0, metavar="N")
 
 

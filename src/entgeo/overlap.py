@@ -24,8 +24,10 @@ class SolverConfig:
     """Multi-start solver knobs.
 
     ``restarts`` random initializations are run, plus one deterministic start
-    at the largest-magnitude basis amplitude.  A restart counts as converged
-    once its squared overlap changes by less than ``tol`` over a sweep.
+    at the largest-magnitude basis amplitude.  A restart freezes, and counts
+    as converged, once its squared overlap changes by less than the freeze
+    tolerance over a sweep: ``max(tol, _als.COARSE_TOL)`` in the first pass of
+    the overlap solve, ``tol`` in its re-solve pass (see ``_solve_overlaps``).
     """
 
     restarts: int = 64
@@ -144,21 +146,40 @@ def _gauge_fix(spinor: np.ndarray) -> np.ndarray:
     return spinor * (np.conj(pivot) / abs(pivot))
 
 
-def _solve_overlaps(tensors: np.ndarray, cfg: SolverConfig):
-    """Best of ``cfg.restarts`` + 1 ALS runs for each state of an (S, 2, ..., 2)
-    batch, Newton-polished as one batch.
-
-    Returns (g_squared (S,), spinors as n arrays (S, 2), residual (S,),
-    sweeps (S,), converged (S,)); the sweeps and the converged flag are those
-    of each state's best ALS run, the rest is taken after the polish.
-    """
-    run = _als.power_iteration(tensors, cfg.restarts, cfg.max_iterations, cfg.tol, cfg.seed)
+def _best_polished(tensors: np.ndarray, cfg: SolverConfig, tol: float):
+    """Best of ``cfg.restarts`` + 1 ALS runs frozen at ``tol`` for each state,
+    Newton-polished as one batch, in the order ``_solve_overlaps`` returns."""
+    run = _als.power_iteration(tensors, cfg.restarts, cfg.max_iterations, tol, cfg.seed)
     rows = np.arange(tensors.shape[0])
     best = np.argmax(run["g_squared"], axis=1)
     spinors, residual, g_squared = _als.polish_stationary(
         tensors, [sp[rows, best] for sp in run["spinors"]]
     )
     return g_squared, spinors, residual, run["iterations"][rows, best], run["converged"][rows, best]
+
+
+def _solve_overlaps(tensors: np.ndarray, cfg: SolverConfig):
+    """Best polished ALS run for each state of an (S, 2, ..., 2) batch.
+
+    Pass 1 freezes the runs at ``max(cfg.tol, _als.COARSE_TOL)``: ALS only has
+    to find the basin, and the Newton polish of each state's best run finishes
+    it quadratically.  Pass 2 re-solves at ``cfg.tol``, as one batch, only the
+    states whose best run froze but whose polish stalled above
+    ``_als.POLISHED_RESIDUAL``.
+
+    Returns (g_squared (S,), spinors as n arrays (S, 2), residual (S,),
+    sweeps (S,), converged (S,)); sweeps and converged are those of the best
+    ALS run of the pass that answered each state, the rest is after its polish.
+    """
+    coarse = max(cfg.tol, _als.COARSE_TOL)
+    g_squared, spinors, residual, sweeps, converged = _best_polished(tensors, cfg, coarse)
+    redo = np.flatnonzero(converged & ~(residual <= _als.POLISHED_RESIDUAL))
+    if redo.size:
+        fine = _best_polished(tensors[redo], cfg, cfg.tol)
+        for whole, part in zip((g_squared, *spinors, residual, sweeps, converged),
+                               (fine[0], *fine[1], *fine[2:])):
+            whole[redo] = part
+    return g_squared, spinors, residual, sweeps, converged
 
 
 def nearest_product_state(s: PureState, cfg: SolverConfig | None = None) -> OverlapResult:

@@ -1,9 +1,14 @@
 """Tests for the numeric overlap solver and its geometric helpers."""
 
+import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entgeo import (
     ProductState,
@@ -14,18 +19,24 @@ from entgeo import (
     correlation_matrix,
     dicke4_state,
     geometric_measure,
+    ghz_overlap,
     ghz_state,
+    ghz_theta_state,
     haar_random_state,
+    make_state,
     nearest_product_state,
     overlap_with_product,
     permute_qubits,
+    quadrilateral_overlap,
     quarter_form,
+    random_feasible_quadrilateral,
     spinor_to_bloch,
     stationarity_residual,
     w_state,
     LocalUnitary,
     apply_local_unitary,
 )
+import entgeo
 from entgeo import _als
 from entgeo.overlap import _solve_overlaps
 
@@ -149,6 +160,16 @@ class TestSolverContracts:
     def test_config_tol_named(self, bad):
         with pytest.raises(ValueError, match="tol must be a finite number > 0"):
             SolverConfig(tol=bad)
+
+    def test_no_knobs_beyond_the_four_fields(self):
+        # the coarse first pass and its re-solve threshold are constants, not settings
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+            "restarts", "max_iterations", "tol", "seed"
+        ]
+        sources = sorted(Path(entgeo.__file__).parent.glob("*.py"))
+        assert sources
+        for path in sources:
+            assert not re.search(r"\b(environ|getenv)\b", path.read_text()), path.name
 
     def test_config_accepts_numpy_scalars(self):
         cfg = SolverConfig(restarts=np.int64(3), max_iterations=np.int32(40), tol=np.float64(1e-9),
@@ -390,6 +411,22 @@ class TestSweepKernel:
             assert np.array_equal(a[:, -1], c[:, -1])
 
 
+def assert_best_polished(tensors, cfg):
+    """``_solve_overlaps`` reaches the best of every ``tol = 1e-13`` run of the
+    same starts, each polished, to 1e-12, and its product reproduces its g^2,
+    which is returned."""
+    g2, spinors = _solve_overlaps(tensors, cfg)[:2]
+    run = _als.power_iteration(tensors, cfg.restarts, cfg.max_iterations, 1e-13, cfg.seed)
+    every_run = [sp.reshape(-1, 2) for sp in run["spinors"]]
+    repeated = np.repeat(tensors, cfg.restarts + 1, axis=0)
+    polished = _als.polish_stationary(repeated, every_run)[2].reshape(len(tensors), -1)
+    assert np.all(g2 >= polished.max(axis=1) - 1e-12)
+    for i, psi in enumerate(tensors):
+        product = _als._frame_amplitudes(psi.conj()[None], [sp[i : i + 1] for sp in spinors])
+        assert abs(product[0, 0]) ** 2 == pytest.approx(g2[i], abs=1e-12)
+    return g2
+
+
 def _best_runs(tensors, cfg):
     """Each state's best ALS run, solved one state at a time, as n arrays (S, 2)."""
     best = []
@@ -501,19 +538,83 @@ class TestSolvePath:
         tensors = np.stack([s.tensor for s in states])
         cfg = SolverConfig(restarts=8, seed=5)
         g2, spinors, residual, sweeps, converged = _solve_overlaps(tensors, cfg)
-        run = _als.power_iteration(tensors, cfg.restarts, cfg.max_iterations, cfg.tol, cfg.seed)
-        best = np.argmax(run["g_squared"], axis=1)
+        tight = _als.power_iteration(tensors, cfg.restarts, cfg.max_iterations, cfg.tol, cfg.seed)
+        assert np.abs(g2 - tight["g_squared"].max(axis=1)).max() <= 1e-12
+        # pass 1: runs frozen at the coarse tolerance, each state's best one polished
+        coarse = _als.power_iteration(
+            tensors, cfg.restarts, cfg.max_iterations, _als.COARSE_TOL, cfg.seed
+        )
         rows = np.arange(len(states))
-        assert np.array_equal(sweeps, run["iterations"][rows, best])
-        assert np.array_equal(converged, run["converged"][rows, best])
-        polished = _als.polish_stationary(tensors, [sp[rows, best] for sp in run["spinors"]])
-        assert np.array_equal(g2, polished[2]) and np.array_equal(residual, polished[1])
-        assert np.abs(g2 - run["g_squared"].max(axis=1)).max() <= 1e-12
+        best = np.argmax(coarse["g_squared"], axis=1)
+        polished = _als.polish_stationary(tensors, [sp[rows, best] for sp in coarse["spinors"]])
+        # the other rows are re-solved at cfg.tol (see the stalled-polish test)
+        first = ~coarse["converged"][rows, best] | (polished[1] <= _als.POLISHED_RESIDUAL)
+        assert np.array_equal(sweeps[first], coarse["iterations"][rows, best][first])
+        assert np.array_equal(converged[first], coarse["converged"][rows, best][first])
+        assert np.array_equal(g2[first], polished[2][first])
+        assert np.array_equal(residual[first], polished[1][first])
         for i, s in enumerate(states):
             product = ProductState(tuple(sp[i] for sp in spinors))
             assert overlap_with_product(s, product) ** 2 == pytest.approx(g2[i], abs=1e-15)
         assert g2[3] == pytest.approx(0.5, abs=1e-12)
         assert g2[4] == pytest.approx(27 / 64, abs=1e-12)
+
+    def test_stalled_polish_is_resolved_at_tol(self, monkeypatch):
+        # three near-edge samples of criterion 8, each with one side below 0.01:
+        # their coarse runs freeze short of the basin and the polish stalls
+        rng = np.random.default_rng(7)
+        params = [random_feasible_quadrilateral(rng) for _ in range(500)]
+        stalled = [17, 117, 485]
+        assert all(min(params[i].a, params[i].b, params[i].c, params[i].d) < 0.01 for i in stalled)
+        tensors = np.stack([p.to_state().tensor for p in params])
+        coarse = _als.power_iteration(
+            tensors, FAST.restarts, FAST.max_iterations, _als.COARSE_TOL, FAST.seed
+        )
+        best = np.argmax(coarse["g_squared"], axis=1)
+        rows = np.arange(len(params))
+        stall = _als.polish_stationary(tensors, [sp[rows, best] for sp in coarse["spinors"]])[1]
+        assert np.flatnonzero(stall > _als.POLISHED_RESIDUAL).tolist() == stalled
+        assert 4e-4 <= stall[stalled].min() and stall[stalled].max() <= 7e-4
+
+        calls = []
+        run = _als.power_iteration
+
+        def recording(psis, restarts, max_iterations, tol, seed):
+            out = run(psis, restarts, max_iterations, tol, seed)
+            calls.append((psis, tol, out))
+            return out
+
+        monkeypatch.setattr(_als, "power_iteration", recording)
+        g2, spinors, residual, sweeps, converged = _solve_overlaps(tensors, FAST)
+        assert [tol for _, tol, _ in calls] == [_als.COARSE_TOL, FAST.tol]
+        psis, _, fine = calls[1]
+        assert np.array_equal(psis, tensors[stalled])
+        fine_best = np.argmax(fine["g_squared"], axis=1)
+        pass_two = np.arange(len(stalled))
+        assert np.array_equal(sweeps[stalled], fine["iterations"][pass_two, fine_best])
+        assert np.array_equal(converged[stalled], fine["converged"][pass_two, fine_best])
+        closed = np.array([quadrilateral_overlap(params[i]) ** 2 for i in stalled])
+        assert np.abs(g2[stalled] - closed).max() <= 1e-12
+        assert residual.max() <= _als.POLISHED_RESIDUAL
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_near_tie_ghz_takes_the_better_basin(self, n):
+        # the two product basins |0..0> and |1..1> differ by sin(2e-6) ~ 2e-6 in g^2
+        theta = math.pi / 4 - 1e-6
+        state = apply_local_unitary(ghz_theta_state(theta, n), LocalUnitary.random(n, seed=n))
+        g2 = assert_best_polished(state.tensor[None], FAST)
+        assert g2[0] == pytest.approx(ghz_overlap(theta, n), abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(3, 5).flatmap(
+            lambda n: st.lists(st.floats(-1.0, 1.0), min_size=2 ** (n + 1), max_size=2 ** (n + 1))
+            .filter(any)
+            .map(lambda v: make_state(n, np.array(v[: 2**n]) + 1j * np.array(v[2**n :])))
+        )
+    )
+    def test_drawn_states_reach_the_best_polished_run(self, s):
+        assert_best_polished(s.tensor[None], FAST)
 
     def test_escalated(self):
         cfg = SolverConfig(restarts=16, max_iterations=500, tol=1e-13, seed=3).escalated()
