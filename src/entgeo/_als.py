@@ -19,8 +19,8 @@ import numpy as np
 # default sweep cap and per-sweep freeze tolerance of every ALS solve
 MAX_ITERATIONS = 500
 TOL = 1e-13
-# the overlap solve freezes its first pass at no tighter than COARSE_TOL and re-solves
-# at the configured tolerance the rows whose polish stalls above POLISHED_RESIDUAL
+# the overlap solve freezes its first pass at no tighter than COARSE_TOL; a polish that
+# stalls above POLISHED_RESIDUAL is not converged, and its row is re-solved once
 COARSE_TOL = 1e-6
 POLISHED_RESIDUAL = 1e-10
 

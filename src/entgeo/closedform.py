@@ -351,17 +351,6 @@ def _zero_mode_residuals(tensors: np.ndarray, vanishing: int) -> tuple[np.ndarra
     return np.linalg.norm(left, axis=1), np.linalg.norm(right, axis=1)
 
 
-def _solve_and_recheck(tensors: np.ndarray, solver: SolverConfig, suspect):
-    """Solve an (S, 2, 2, 2) batch, then re-solve the rows whose values
-    ``suspect(g2)`` flags as one more batch with ``solver.escalated()``.
-    Returns (g2 (S,), number of re-solved rows)."""
-    g2 = _solve_overlaps(tensors, solver)[0]
-    rows = np.flatnonzero(suspect(g2))
-    if rows.size:
-        g2[rows] = _solve_overlaps(tensors[rows], solver.escalated())[0]
-    return g2, int(rows.size)
-
-
 def theorem_check(
     p: CanonicalParams,
     tolerance: float = 1e-7,
@@ -372,8 +361,9 @@ def theorem_check(
 
     The sample may be relabeled through ``permutation`` so the vanishing
     Bloch vector lands on any qubit; the overlap is permutation invariant.
-    The numeric value is re-solved with a larger budget when it misses 1/2
-    by more than half the tolerance, as in ``run_theorem_campaign``.
+    The numeric value is re-solved once with ``solver.escalated()`` when its
+    polish stalls or it misses 1/2 by more than half the tolerance, as in
+    ``run_theorem_campaign``.
     """
     _require_positive("tolerance", tolerance)
     solver = solver or SolverConfig(restarts=16)
@@ -389,7 +379,7 @@ def theorem_check(
     vanishing = int(np.argmin(lengths))
     tensor = state.tensor[None]
     left, right = _zero_mode_residuals(tensor, vanishing)
-    numeric = _solve_and_recheck(tensor, solver, lambda g: np.abs(g - 0.5) > 0.5 * tolerance)[0][0]
+    numeric = _solve_overlaps(tensor, solver, lambda g: np.abs(g - 0.5) > tolerance / 2)[0][0]
     return TheoremCheckReport(
         params=p,
         permutation=tuple(permutation),
@@ -425,7 +415,7 @@ class CampaignReport:
     max_abs_t: float
     max_zero_mode_residual: float
     max_singular_value_error: float
-    rechecked: int  # samples re-solved with the escalated budget
+    rechecked: int  # samples re-solved with the escalated budget: polish stalled or off 1/2
     failures: tuple[CampaignFailure, ...] = field(default=())
 
     @property
@@ -475,9 +465,9 @@ def run_theorem_campaign(
     """Sample one family, solve every state numerically and check g^2 = 1/2.
 
     The solver runs all samples and restarts as one batch; samples whose
-    error exceeds half the tolerance are re-solved as one more batch with a
-    larger budget before being declared failures.  Structure checks (t, zero
-    modes, singular values of G) run on the whole batch.
+    polish stalls or whose error exceeds half the tolerance are re-solved once
+    with ``solver.escalated()`` before being declared failures.  Structure
+    checks (t, zero modes, singular values of G) run on the whole batch.
     """
     _require_sample_count(n_samples, 1)
     _require_int("seed", seed, 0)
@@ -487,7 +477,7 @@ def run_theorem_campaign(
     rng = np.random.default_rng(seed)
     params = [_sample_zero_bloch(family, rng) for _ in range(n_samples)]
     tensors = np.stack([canonical_to_state(p).tensor for p in params])
-    g2, rechecked = _solve_and_recheck(tensors, solver, lambda g: np.abs(g - 0.5) > 0.5 * tolerance)
+    g2, *_, rechecked = _solve_overlaps(tensors, solver, lambda g: np.abs(g - 0.5) > tolerance / 2)
 
     left, right = _zero_mode_residuals(tensors, 2)  # both families have b_C = 0
     max_sv = 0.0
@@ -670,7 +660,7 @@ def inverse_search(
     states.append(canonical_to_state(_sample_zero_bloch(ZeroBlochFamily.QUADRILATERAL, rng)))
     states.append(canonical_to_state(_sample_zero_bloch(ZeroBlochFamily.H_NONZERO, rng)))
     tensors = np.stack([s.tensor for s in states])
-    g2, _ = _solve_and_recheck(tensors, solver, lambda g: np.abs(g - 0.5) <= 10.0 * filter_tol)
+    g2 = _solve_overlaps(tensors, solver, lambda g: np.abs(g - 0.5) <= 10.0 * filter_tol)[0]
     min_bloch = np.min([np.linalg.norm(_bloch(tensors, q), axis=1) for q in range(3)], axis=0)
     hits = [
         InverseHit(int(i), float(g2[i]), float(min_bloch[i]), is_control=bool(i >= control_from))

@@ -18,16 +18,19 @@ from . import _als
 from .invariants import bloch_vector, correlation_matrix
 from .states import ProductState, PureState, _require_int, _require_positive
 
+_ESCALATION = 4  # the re-solve budget's factor on restarts and sweeps (``escalated()``)
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Multi-start solver knobs.
 
     ``restarts`` random initializations are run, plus one deterministic start
-    at the largest-magnitude basis amplitude.  A restart freezes, and counts
-    as converged, once its squared overlap changes by less than the freeze
-    tolerance over a sweep: ``max(tol, _als.COARSE_TOL)`` in the first pass of
-    the overlap solve, ``tol`` in its re-solve pass (see ``_solve_overlaps``).
+    at the largest-magnitude basis amplitude.  A restart freezes once its
+    squared overlap changes by less than the freeze tolerance over a sweep:
+    ``max(tol, _als.COARSE_TOL)`` in the first pass of the overlap solve,
+    ``tol`` in its one re-solve pass, which runs under ``escalated()`` (see
+    ``_solve_overlaps``).
     """
 
     restarts: int = 64
@@ -45,8 +48,8 @@ class SolverConfig:
         """The budget for re-solving stragglers: 4x the restarts and sweeps, the
         same ``tol`` and the next seed."""
         return SolverConfig(
-            restarts=4 * self.restarts,
-            max_iterations=4 * self.max_iterations,
+            restarts=_ESCALATION * self.restarts,
+            max_iterations=_ESCALATION * self.max_iterations,
             tol=self.tol,
             seed=self.seed + 1,
         )
@@ -54,8 +57,10 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class OverlapResult:
-    """Converged solver output.
+    """Solver output.
 
+    ``converged`` means a polished residual <= ``_als.POLISHED_RESIDUAL``;
+    ``restarts_used`` and ``iterations`` are those of the pass that answered.
     ``lagrange`` carries (lambda_1, lambda_2) of the two-qubit stationarity
     system for three-qubit states and is None otherwise.
     ``stationarity_residual`` is the Bloch-space first-order residual for
@@ -155,31 +160,35 @@ def _best_polished(tensors: np.ndarray, cfg: SolverConfig, tol: float):
     spinors, residual, g_squared = _als.polish_stationary(
         tensors, [sp[rows, best] for sp in run["spinors"]]
     )
-    return g_squared, spinors, residual, run["iterations"][rows, best], run["converged"][rows, best]
+    return g_squared, spinors, residual, run["iterations"][rows, best]
 
 
-def _solve_overlaps(tensors: np.ndarray, cfg: SolverConfig):
+def _solve_overlaps(tensors: np.ndarray, cfg: SolverConfig, suspect=None):
     """Best polished ALS run for each state of an (S, 2, ..., 2) batch.
 
     Pass 1 freezes the runs at ``max(cfg.tol, _als.COARSE_TOL)``: ALS only has
     to find the basin, and the Newton polish of each state's best run finishes
-    it quadratically.  Pass 2 re-solves at ``cfg.tol``, as one batch, only the
-    states whose best run froze but whose polish stalled above
-    ``_als.POLISHED_RESIDUAL``.
+    it quadratically.  The states whose polish stalls above
+    ``_als.POLISHED_RESIDUAL``, or whose value ``suspect(g2)`` flags, are
+    re-solved once, as one batch, with ``cfg.escalated()`` frozen at
+    ``cfg.tol``, and polished again.
 
     Returns (g_squared (S,), spinors as n arrays (S, 2), residual (S,),
-    sweeps (S,), converged (S,)); sweeps and converged are those of the best
-    ALS run of the pass that answered each state, the rest is after its polish.
+    sweeps (S,), number of re-solved states); sweeps are those of the best ALS
+    run of the pass that answered each state, the rest is after its polish.
     """
     coarse = max(cfg.tol, _als.COARSE_TOL)
-    g_squared, spinors, residual, sweeps, converged = _best_polished(tensors, cfg, coarse)
-    redo = np.flatnonzero(converged & ~(residual <= _als.POLISHED_RESIDUAL))
+    g_squared, spinors, residual, sweeps = _best_polished(tensors, cfg, coarse)
+    redo = ~(residual <= _als.POLISHED_RESIDUAL)
+    if suspect is not None:
+        redo |= suspect(g_squared)
+    redo = np.flatnonzero(redo)
     if redo.size:
-        fine = _best_polished(tensors[redo], cfg, cfg.tol)
-        for whole, part in zip((g_squared, *spinors, residual, sweeps, converged),
+        fine = _best_polished(tensors[redo], cfg.escalated(), cfg.tol)
+        for whole, part in zip((g_squared, *spinors, residual, sweeps),
                                (fine[0], *fine[1], *fine[2:])):
             whole[redo] = part
-    return g_squared, spinors, residual, sweeps, converged
+    return g_squared, spinors, residual, sweeps, int(redo.size)
 
 
 def nearest_product_state(s: PureState, cfg: SolverConfig | None = None) -> OverlapResult:
@@ -192,9 +201,10 @@ def nearest_product_state(s: PureState, cfg: SolverConfig | None = None) -> Over
     if s.n_qubits < 2:
         raise ValueError("the product overlap needs at least 2 qubits")
     cfg = cfg or SolverConfig()
-    g_squared, spinors, residual, sweeps, converged = _solve_overlaps(s.tensor[None], cfg)
+    g_squared, spinors, residual, sweeps, resolved = _solve_overlaps(s.tensor[None], cfg)
     product = ProductState(tuple(_gauge_fix(sp[0]) for sp in spinors))
     residual = float(residual[0])
+    converged = residual <= _als.POLISHED_RESIDUAL
     lagrange = None
     if s.n_qubits == 3:
         x, y = _als._bloch_from_spinors(np.stack(product.spinors[:2]))
@@ -205,8 +215,8 @@ def nearest_product_state(s: PureState, cfg: SolverConfig | None = None) -> Over
         g_squared=float(g_squared[0]),
         product=product,
         lagrange=lagrange,
-        restarts_used=cfg.restarts + 1,
+        restarts_used=cfg.restarts * (_ESCALATION if resolved else 1) + 1,
         iterations=int(sweeps[0]),
-        converged=bool(converged[0]),
+        converged=converged,
         stationarity_residual=residual,
     )

@@ -33,9 +33,7 @@ from entgeo import (
     wn_overlap,
     wn_state,
 )
-from entgeo import closedform
 from entgeo.closedform import _zero_mode_residuals
-from entgeo.overlap import _solve_overlaps
 from entgeo.states import ZeroBlochFamily, _sample_zero_bloch
 
 FAST = SolverConfig(restarts=16)
@@ -449,60 +447,38 @@ class TestDicke4:
 
 class TestBatchedResolve:
     @staticmethod
-    def record(monkeypatch):
-        calls = []
+    def off_half(tolerance):
+        return lambda g: np.abs(g - 0.5) > 0.5 * tolerance
 
-        def recording(tensors, cfg):
-            out = _solve_overlaps(tensors, cfg)
-            calls.append((tensors, cfg, out[0].copy()))
-            return out
-
-        monkeypatch.setattr(closedform, "_solve_overlaps", recording)
-        return calls
-
-    def test_campaign_resolves_stragglers_in_one_batch(self, monkeypatch):
-        cfg = SolverConfig(restarts=2, max_iterations=3, seed=3)
-        calls = self.record(monkeypatch)
-        report = run_theorem_campaign("quadrilateral", 100, seed=11, solver=cfg)
-        assert len(calls) == 2
-        (tensors, first_cfg, first), (retried, retry_cfg, second) = calls
-        assert tensors.shape == (100, 2, 2, 2) and first_cfg == cfg
-        stragglers = np.flatnonzero(np.abs(first - 0.5) > 0.5 * report.tolerance)
-        assert stragglers.size > 0  # this budget leaves stragglers after the first pass
-        assert retry_cfg == cfg.escalated()
-        assert np.array_equal(retried, tensors[stragglers])
-        direct = _solve_overlaps(tensors[stragglers], cfg.escalated())[0]
-        assert np.array_equal(second, direct)
-        g2 = first.copy()
-        g2[stragglers] = direct
+    def test_campaign_resolves_stragglers_in_one_batch(self, als_passes):
+        report = run_theorem_campaign("quadrilateral", 100, seed=11, solver=STRAGGLING)
+        assert als_passes[0]["psis"].shape == (100, 2, 2, 2)
+        # this budget leaves stragglers after the first pass; one batch re-solves them
+        stragglers = als_passes.resolved_rows(STRAGGLING, self.off_half(report.tolerance))
+        g2 = als_passes.answer("g_squared", stragglers)
         assert report.passed
         assert report.max_g2_error == float(np.abs(g2 - 0.5).max()) <= 1e-7
         assert report.rechecked == stragglers.size == 23
         assert report.to_dict()["rechecked"] == 23
 
-    def test_campaign_without_stragglers_solves_once(self, monkeypatch):
-        calls = self.record(monkeypatch)
+    def test_campaign_without_stragglers_solves_once(self, als_passes):
         report = run_theorem_campaign("h-nonzero", 50, seed=2)
         assert report.passed and report.rechecked == 0
-        assert len(calls) == 1
+        assert als_passes.resolved_rows(FAST, self.off_half(report.tolerance)).size == 0
 
-    def test_theorem_check_resolves_a_straggler(self, monkeypatch):
+    def test_theorem_check_resolves_a_straggler(self, als_passes):
         rng = np.random.default_rng(11)
         p = [_sample_zero_bloch(ZeroBlochFamily.QUADRILATERAL, rng) for _ in range(2)][1]
-        calls = self.record(monkeypatch)
         report = theorem_check(p, solver=STRAGGLING)
-        assert [cfg for _, cfg, _ in calls] == [STRAGGLING, STRAGGLING.escalated()]
-        assert abs(calls[0][2][0] - 0.5) > 1e-3  # the first pass misses 1/2
-        assert report.passed and report.numeric_g_squared == calls[1][2][0]
+        assert als_passes.resolved_rows(STRAGGLING, self.off_half(report.tolerance)).tolist() == [0]
+        assert abs(als_passes[0]["g_squared"][0] - 0.5) > 1e-3  # the first pass misses 1/2
+        assert report.passed and report.numeric_g_squared == als_passes[1]["g_squared"][0]
 
-    def test_inverse_search_refines_in_one_batch(self, monkeypatch):
-        calls = self.record(monkeypatch)
+    def test_inverse_search_refines_in_one_batch(self, als_passes):
         # a wide filter, so that some refined rows fall outside it
         report = inverse_search(20, seed=5, filter_tol=0.02)
-        assert len(calls) == 2
-        (tensors, cfg, first), (refined, refine_cfg, second) = calls
-        near = np.flatnonzero(np.abs(first - 0.5) <= 10.0 * report.filter_tol)
-        assert np.array_equal(refined, tensors[near]) and refine_cfg == cfg.escalated()
+        near = als_passes.resolved_rows(FAST, lambda g: np.abs(g - 0.5) <= 10.0 * report.filter_tol)
+        second = als_passes[1]["g_squared"]
         kept = near[np.abs(second - 0.5) <= report.filter_tol]
         assert 3 <= kept.size < near.size
         assert [h.index for h in report.hits] == list(kept)

@@ -251,6 +251,16 @@ class TestStationarityResidual:
         lam1, lam2 = result.lagrange
         assert stationarity_residual(s, x, y, lam1, lam2) <= 1e-8
 
+    def test_converged_means_the_polish_finished(self):
+        # three sweeps stop every run at the cap, but the polish of the best one
+        # reaches the stationary point, so the answer is converged
+        result = nearest_product_state(
+            haar_random_state(3, seed=1), SolverConfig(restarts=4, max_iterations=3)
+        )
+        assert result.iterations == 3
+        assert result.stationarity_residual <= 1e-13
+        assert result.converged
+
 
 class TestSpinorBloch:
     def test_poles(self):
@@ -531,35 +541,29 @@ class TestSolvePath:
         assert residual[1] <= 1e-13
         assert residual[1] == alone[1][0] and g2[1] == alone[2][0]
 
-    def test_solve_overlaps_is_best_run_polished(self):
+    def test_solve_overlaps_is_best_run_polished(self, als_passes):
         states = [haar_random_state(4, seed=seed) for seed in range(3)]
         states.append(apply_local_unitary(ghz_state(4), LocalUnitary.random(4, seed=1)))
         states.append(apply_local_unitary(w_state(4), LocalUnitary.random(4, seed=2)))
         tensors = np.stack([s.tensor for s in states])
         cfg = SolverConfig(restarts=8, seed=5)
-        g2, spinors, residual, sweeps, converged = _solve_overlaps(tensors, cfg)
+        g2, spinors, residual, sweeps, resolved = _solve_overlaps(tensors, cfg)
+        # pass 1: runs frozen at the coarse tolerance, each state's best one
+        # polished; the stalled rows are re-solved (see the stalled-polish test)
+        redo = als_passes.resolved_rows(cfg)
+        assert resolved == redo.size
+        assert np.array_equal(sweeps, als_passes.answer("sweeps", redo))
+        assert np.array_equal(g2, als_passes.answer("g_squared", redo))
+        assert np.array_equal(residual, als_passes.answer("residual", redo))
         tight = _als.power_iteration(tensors, cfg.restarts, cfg.max_iterations, cfg.tol, cfg.seed)
         assert np.abs(g2 - tight["g_squared"].max(axis=1)).max() <= 1e-12
-        # pass 1: runs frozen at the coarse tolerance, each state's best one polished
-        coarse = _als.power_iteration(
-            tensors, cfg.restarts, cfg.max_iterations, _als.COARSE_TOL, cfg.seed
-        )
-        rows = np.arange(len(states))
-        best = np.argmax(coarse["g_squared"], axis=1)
-        polished = _als.polish_stationary(tensors, [sp[rows, best] for sp in coarse["spinors"]])
-        # the other rows are re-solved at cfg.tol (see the stalled-polish test)
-        first = ~coarse["converged"][rows, best] | (polished[1] <= _als.POLISHED_RESIDUAL)
-        assert np.array_equal(sweeps[first], coarse["iterations"][rows, best][first])
-        assert np.array_equal(converged[first], coarse["converged"][rows, best][first])
-        assert np.array_equal(g2[first], polished[2][first])
-        assert np.array_equal(residual[first], polished[1][first])
         for i, s in enumerate(states):
             product = ProductState(tuple(sp[i] for sp in spinors))
             assert overlap_with_product(s, product) ** 2 == pytest.approx(g2[i], abs=1e-15)
         assert g2[3] == pytest.approx(0.5, abs=1e-12)
         assert g2[4] == pytest.approx(27 / 64, abs=1e-12)
 
-    def test_stalled_polish_is_resolved_at_tol(self, monkeypatch):
+    def test_stalled_polish_is_resolved_at_tol(self, als_passes):
         # three near-edge samples of criterion 8, each with one side below 0.01:
         # their coarse runs freeze short of the basin and the polish stalls
         rng = np.random.default_rng(7)
@@ -567,35 +571,28 @@ class TestSolvePath:
         stalled = [17, 117, 485]
         assert all(min(params[i].a, params[i].b, params[i].c, params[i].d) < 0.01 for i in stalled)
         tensors = np.stack([p.to_state().tensor for p in params])
-        coarse = _als.power_iteration(
-            tensors, FAST.restarts, FAST.max_iterations, _als.COARSE_TOL, FAST.seed
-        )
-        best = np.argmax(coarse["g_squared"], axis=1)
-        rows = np.arange(len(params))
-        stall = _als.polish_stationary(tensors, [sp[rows, best] for sp in coarse["spinors"]])[1]
+        g2, spinors, residual, sweeps, resolved = _solve_overlaps(tensors, FAST)
+        stall = als_passes[0]["residual"]
         assert np.flatnonzero(stall > _als.POLISHED_RESIDUAL).tolist() == stalled
         assert 4e-4 <= stall[stalled].min() and stall[stalled].max() <= 7e-4
-
-        calls = []
-        run = _als.power_iteration
-
-        def recording(psis, restarts, max_iterations, tol, seed):
-            out = run(psis, restarts, max_iterations, tol, seed)
-            calls.append((psis, tol, out))
-            return out
-
-        monkeypatch.setattr(_als, "power_iteration", recording)
-        g2, spinors, residual, sweeps, converged = _solve_overlaps(tensors, FAST)
-        assert [tol for _, tol, _ in calls] == [_als.COARSE_TOL, FAST.tol]
-        psis, _, fine = calls[1]
-        assert np.array_equal(psis, tensors[stalled])
-        fine_best = np.argmax(fine["g_squared"], axis=1)
-        pass_two = np.arange(len(stalled))
-        assert np.array_equal(sweeps[stalled], fine["iterations"][pass_two, fine_best])
-        assert np.array_equal(converged[stalled], fine["converged"][pass_two, fine_best])
+        # one re-solve of those rows alone, under the escalated budget at FAST.tol
+        redo = als_passes.resolved_rows(FAST)
+        assert redo.tolist() == stalled and resolved == len(stalled)
+        assert np.array_equal(sweeps, als_passes.answer("sweeps", redo))
         closed = np.array([quadrilateral_overlap(params[i]) ** 2 for i in stalled])
         assert np.abs(g2[stalled] - closed).max() <= 1e-12
         assert residual.max() <= _als.POLISHED_RESIDUAL
+
+    def test_resolved_state_reports_the_answering_pass(self, monkeypatch, als_passes):
+        # with no polished residual accepted, every state is re-solved
+        monkeypatch.setattr(_als, "POLISHED_RESIDUAL", 0.0)
+        cfg = SolverConfig(restarts=8, seed=2)
+        result = nearest_product_state(haar_random_state(4, seed=3), cfg)
+        assert als_passes.resolved_rows(cfg).tolist() == [0]
+        assert result.restarts_used == 4 * cfg.restarts + 1 == cfg.escalated().restarts + 1
+        assert result.iterations == als_passes[1]["sweeps"][0] != als_passes[0]["sweeps"][0]
+        assert result.g_squared == als_passes[1]["g_squared"][0]
+        assert not result.converged
 
     @pytest.mark.parametrize("n", range(3, 7))
     def test_near_tie_ghz_takes_the_better_basin(self, n):
