@@ -50,18 +50,17 @@ def haar_bloch_spinors(rng: np.random.Generator, shape) -> np.ndarray:
 def _initial_spinors(psis: np.ndarray, restarts: int, seed) -> list[np.ndarray]:
     """Per-qubit start batches of shape (S, restarts + 1, 2).
 
-    The first ``restarts`` columns are Haar-random, drawn in one call from one
-    generator seeded with ``seed``, so they depend only on the seed and the
-    batch shape, not on execution order.  The last column is the
-    deterministic start at the largest-magnitude computational basis
-    amplitude of each state.
+    The first ``restarts`` columns are Haar-random, drawn once as one
+    (n, restarts) block from a generator seeded with ``seed`` and shared by
+    every state, so a state's starts depend only on n, ``restarts`` and
+    ``seed``: the same state solved alone or in any row of any batch starts
+    from the same spinors.  The last column is the deterministic start at
+    the largest-magnitude computational basis amplitude of each state.
     """
     n = psis.ndim - 1
     n_states = psis.shape[0]
     spinors = np.zeros((n, n_states, restarts + 1, 2), dtype=complex)
-    spinors[:, :, :restarts] = haar_bloch_spinors(
-        np.random.default_rng(seed), (n, n_states, restarts)
-    )
+    spinors[:, :, :restarts] = haar_bloch_spinors(np.random.default_rng(seed), (n, 1, restarts))
     flat_index = np.argmax(np.abs(psis.reshape(n_states, -1)), axis=1)
     bits = (flat_index >> (n - 1 - np.arange(n))[:, None]) & 1
     spinors[np.arange(n)[:, None], np.arange(n_states), -1, bits] = 1.0

@@ -262,13 +262,11 @@ def _cmd_demo(args) -> int:
 
 
 def _demo_ghz(args, cfg: SolverConfig) -> int:
+    thetas = [k * math.pi / 24.0 for k in range(7)]
     rows = []
     for n in (2, 3, 4, 5):
-        for k in range(7):
-            theta = k * math.pi / 24.0
-            closed = ghz_overlap(theta, n)
-            numeric = nearest_product_state(ghz_theta_state(theta, n), cfg).g_squared
-            rows.append((n, theta, closed, numeric))
+        numeric = _solve_overlaps(np.stack([ghz_theta_state(t, n).tensor for t in thetas]), cfg)[0]
+        rows += [(n, t, ghz_overlap(t, n), float(m)) for t, m in zip(thetas, numeric)]
     if args.format == "structured":
         print(json.dumps(
             [{"n": n, "theta": t, "closed_form_g_squared": c, "numeric_g_squared": m}

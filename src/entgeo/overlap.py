@@ -63,9 +63,8 @@ class OverlapResult:
     ``restarts_used`` and ``iterations`` are those of the pass that answered.
     ``lagrange`` carries (lambda_1, lambda_2) of the two-qubit stationarity
     system for three-qubit states and is None otherwise.
-    ``stationarity_residual`` is the Bloch-space first-order residual for
-    three-qubit states, and the spinor-space orthogonality residual for other
-    qubit counts.
+    ``stationarity_residual`` is the norm of the polished spinor-space
+    residuals, the number ``converged`` is judged on.
     """
 
     g_squared: float
@@ -204,19 +203,17 @@ def nearest_product_state(s: PureState, cfg: SolverConfig | None = None) -> Over
     g_squared, spinors, residual, sweeps, resolved = _solve_overlaps(s.tensor[None], cfg)
     product = ProductState(tuple(_gauge_fix(sp[0]) for sp in spinors))
     residual = float(residual[0])
-    converged = residual <= _als.POLISHED_RESIDUAL
     lagrange = None
     if s.n_qubits == 3:
         x, y = _als._bloch_from_spinors(np.stack(product.spinors[:2]))
         b_a, b_b, g = bloch_vector(s, 0), bloch_vector(s, 1), correlation_matrix(s, 0, 1)
         lagrange = (float(x @ (g @ y + b_a)), float(y @ (g.T @ x + b_b)))
-        residual = _bloch_residual(b_a, b_b, g, x, y, *lagrange)
     return OverlapResult(
         g_squared=float(g_squared[0]),
         product=product,
         lagrange=lagrange,
         restarts_used=cfg.restarts * (_ESCALATION if resolved else 1) + 1,
         iterations=int(sweeps[0]),
-        converged=converged,
+        converged=residual <= _als.POLISHED_RESIDUAL,
         stationarity_residual=residual,
     )

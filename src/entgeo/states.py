@@ -34,11 +34,13 @@ class CanonicalizationError(RuntimeError):
     """Canonical-form search did not reach the residual tolerance."""
 
 
-def _require_int(name: str, value, minimum: int) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is an integer >= ``minimum``
-    (bool rejected, numpy integers accepted)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+def _require_int(name: str, value, minimum: int, maximum: float = math.inf) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer in
+    ``minimum..maximum`` (bool rejected, numpy integers accepted)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or not minimum <= value <= maximum):
+        span = f">= {minimum}" if maximum == math.inf else f"in {minimum}..{maximum}"
+        raise ValueError(f"{name} must be an integer {span}, got {value!r}")
 
 
 def _require_positive(name: str, value) -> None:
@@ -66,8 +68,7 @@ class PureState:
     norm_factor: float = 1.0
 
     def __post_init__(self):
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValueError(f"n_qubits must be between 1 and {MAX_QUBITS}, got {self.n_qubits}")
+        _require_int("n_qubits", self.n_qubits, 1, MAX_QUBITS)
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amps.size != 2**self.n_qubits:
             raise ValueError(
@@ -122,9 +123,8 @@ def make_state(n: int, amplitudes) -> PureState:
     Raises on a length mismatch, a non-finite entry or an all-zero amplitude
     vector.
     """
+    _require_int("n_qubits", n, 1, MAX_QUBITS)
     amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"n must be between 1 and {MAX_QUBITS}, got {n}")
     if amps.size != 2**n:
         raise ValueError(f"expected {2**n} amplitudes for {n} qubits, got {amps.size}")
     if not np.isfinite(amps).all():
@@ -555,44 +555,57 @@ def canonicalize(s: PureState, restarts: int = 32, seed=0) -> tuple[CanonicalPar
     (d, h, a, b, c), breaking remaining ties toward gamma >= 0.
 
     The returned unitaries map ``s`` onto ``canonical_to_state(params)``
-    exactly (global phase included).
+    exactly (global phase included).  The random starts depend only on
+    ``restarts`` and ``seed``, so the answer is the same bit for bit when the
+    state is canonicalized inside a batch (``_canonicalize``).
     """
     if s.n_qubits != 3:
         raise ValueError("canonicalization is defined for three-qubit states")
     _require_int("restarts", restarts, 0)
     _require_int("seed", seed, 0)
-    tensor = s.tensor
-    run = _als.power_iteration(tensor[None], restarts, _als.MAX_ITERATIONS, _als.TOL, seed)
-    overlaps = run["g_squared"][0]
-    spinors = [sp[0] for sp in run["spinors"]]  # n arrays (R, 2)
-    blochs = _als._bloch_from_spinors(np.stack(spinors, axis=1)).reshape(len(overlaps), -1)
-    # only branches tied with the best overlap can win the (d, ...) tie-break,
+    return _canonicalize(s.tensor[None], restarts, seed)[0]
+
+
+def _canonicalize(tensors: np.ndarray, restarts: int, seed) -> list:
+    """``canonicalize`` of every state of an (S, 2, 2, 2) batch, unvalidated, as
+    a list of (params, unitaries): one ALS over the batch and one polish of
+    the branches of every state."""
+    run = _als.power_iteration(tensors, restarts, _als.MAX_ITERATIONS, _als.TOL, seed)
+    overlaps = run["g_squared"]  # (S, R)
+    blochs = _als._bloch_from_spinors(np.stack(run["spinors"], axis=2))
+    blochs = blochs.reshape(*overlaps.shape, -1)
+    # only branches tied with a state's best overlap can win its (d, ...) tie-break,
     # since d equals the overlap at the branch's stationary point
-    order = np.argsort(-overlaps, kind="stable")
-    order = order[overlaps[order] >= max(overlaps.max() - 1e-6, 1e-12)]
-    # one branch per 6-decimal Bloch fingerprint, the first in overlap order
-    _, first = np.unique(np.round(blochs[order], 6), axis=0, return_index=True)
-    branches = order[np.sort(first)]
-    psis = np.broadcast_to(tensor, (len(branches),) + tensor.shape)
-    polished, _, _ = _als.polish_stationary(psis, [sp[branches] for sp in spinors])
-    amps = _als._frame_amplitudes(psis.conj(), polished).conj()
-    reps = [_canonical_rep(a) for a in amps]
-    candidates = [k for k, (_, _, residual) in enumerate(reps) if residual <= _CANON_RESIDUAL_TOL]
-    if not candidates:
-        raise CanonicalizationError(
-            f"no canonical representative reached residual {_CANON_RESIDUAL_TOL:g} "
-            f"after {restarts} restarts"
-        )
+    order = np.argsort(-overlaps, axis=1, kind="stable")
+    floor = np.maximum(overlaps.max(axis=1) - 1e-6, 1e-12)
+    state, rank = np.nonzero(np.take_along_axis(overlaps, order, axis=1) >= floor[:, None])
+    run_index = order[state, rank]
+    # one branch per (state, 6-decimal Bloch fingerprint), the first in overlap order
+    keys = np.column_stack([state, np.round(blochs[state, run_index], 6)])
+    first = np.sort(np.unique(keys, axis=0, return_index=True)[1])
+    state, run_index = state[first], run_index[first]
+    psis = tensors[state]
+    polished, _, _ = _als.polish_stationary(psis, [sp[state, run_index] for sp in run["spinors"]])
+    reps = [_canonical_rep(a) for a in _als._frame_amplitudes(psis.conj(), polished).conj()]
 
     def sort_key(k):
         p = reps[k][0]
         return tuple(round(v, 9) for v in (p.d, p.h, p.a, p.b, p.c)) + (p.gamma,)
 
-    k = max(candidates, key=sort_key)
-    params, theta, _ = reps[k]
-    # frame rows (e^dagger, perp(e)^dagger), the gauge phase on each |1> row
-    # and the global phase on qubit A
-    mats = [np.diag([1.0, np.exp(1j * th)]) @ np.stack([e[k], _als._perp(e[k])]).conj()
-            for th, e in zip(theta[:3], polished)]
-    mats[0] = np.exp(1j * theta[3]) * mats[0]
-    return params, LocalUnitary(tuple(mats))
+    out = []
+    for i in range(len(tensors)):
+        candidates = [k for k in np.flatnonzero(state == i) if reps[k][2] <= _CANON_RESIDUAL_TOL]
+        if not candidates:
+            raise CanonicalizationError(
+                f"no canonical representative reached residual {_CANON_RESIDUAL_TOL:g} "
+                f"after {restarts} restarts"
+            )
+        k = max(candidates, key=sort_key)
+        params, theta, _ = reps[k]
+        # frame rows (e^dagger, perp(e)^dagger), the gauge phase on each |1> row
+        # and the global phase on qubit A
+        mats = [np.diag([1.0, np.exp(1j * th)]) @ np.stack([e[k], _als._perp(e[k])]).conj()
+                for th, e in zip(theta[:3], polished)]
+        mats[0] = np.exp(1j * theta[3]) * mats[0]
+        out.append((params, LocalUnitary(tuple(mats))))
+    return out

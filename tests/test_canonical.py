@@ -18,12 +18,14 @@ from entgeo import (
     haar_random_state,
     invariant_set,
     make_state,
+    random_feasible_quadrilateral,
     three_tangle,
     three_tangle_canonical,
     w_state,
 )
 from entgeo import _als
 from entgeo._als import haar_bloch_spinors
+from entgeo.states import _canonicalize
 
 SQ2 = math.sqrt(2.0)
 
@@ -173,7 +175,8 @@ class TestContracts:
             return polish(psis, spinors)
 
         monkeypatch.setattr(_als, "polish_stationary", recording)
-        canonicalize(apply_local_unitary(ghz_state(3), LocalUnitary.random(3, seed=3)))
+        ghz_lu = apply_local_unitary(ghz_state(3), LocalUnitary.random(3, seed=3))
+        canonicalize(ghz_lu)
         assert len(calls) == 1
         # one row per GHZ branch, |000> and |111> rotated: orthogonal on every qubit
         assert calls[0][0].shape == (2, 2)
@@ -181,8 +184,30 @@ class TestContracts:
             assert abs(np.vdot(sp[0], sp[1])) < 1e-6
         calls.clear()
         # W ties on a continuous family, so every run is its own branch
-        canonicalize(apply_local_unitary(w_state(3), LocalUnitary.random(3, seed=3)), restarts=8)
+        w_lu = apply_local_unitary(w_state(3), LocalUnitary.random(3, seed=3))
+        canonicalize(w_lu, restarts=8)
         assert len(calls) == 1 and calls[0][0].shape == (9, 2)
+        calls.clear()
+        # a mixed batch polishes the branches of every state in one call
+        _canonicalize(np.stack([ghz_lu.tensor, w_lu.tensor]), 8, 0)
+        assert len(calls) == 1 and calls[0][0].shape == (2 + 9, 2)
+
+    def test_batch_rows_equal_scalar_calls(self):
+        states = [haar_random_state(3, seed=70 + k) for k in range(4)]
+        states.insert(1, apply_local_unitary(ghz_state(3), LocalUnitary.random(3, seed=5)))
+        states.insert(3, apply_local_unitary(w_state(3), LocalUnitary.random(3, seed=6)))
+        states.append(basis_state(3, 6))
+        states.append(states[2])  # a repeated state keeps its own branches
+        # a criterion-8 sample whose overlap solve stalls in its first pass
+        rng = np.random.default_rng(7)
+        states.append([random_feasible_quadrilateral(rng) for _ in range(118)][117].to_state())
+        batch = _canonicalize(np.stack([s.tensor for s in states]), 32, 0)
+        assert len(batch) == len(states)
+        for s, (params, lu) in zip(states, batch):
+            alone, alone_lu = canonicalize(s)
+            assert params == alone
+            for m, m_alone in zip(lu.matrices, alone_lu.matrices):
+                assert np.array_equal(m, m_alone)
 
     def test_basis_start_only(self):
         p, lu = canonicalize(ghz_state(3), restarts=0)

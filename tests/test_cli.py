@@ -6,7 +6,15 @@ import warnings
 
 import pytest
 
-from entgeo import cli, ghz_state, save_state, state_from_dict
+from entgeo import (
+    SolverConfig,
+    cli,
+    ghz_state,
+    ghz_theta_state,
+    nearest_product_state,
+    save_state,
+    state_from_dict,
+)
 from entgeo.cli import main
 
 
@@ -235,6 +243,11 @@ class TestDemoCommand:
         for row in balanced:
             assert row["closed_form_g_squared"] == pytest.approx(0.5)
             assert row["numeric_g_squared"] == pytest.approx(0.5, abs=1e-8)
+        # each qubit count is one batch; every row equals its state solved alone
+        cfg = SolverConfig(restarts=16, seed=0)
+        for row in rows:
+            alone = nearest_product_state(ghz_theta_state(row["theta"], row["n"]), cfg)
+            assert row["numeric_g_squared"] == alone.g_squared
 
     def test_dicke4(self, capsys):
         code, out, _ = run_cli(capsys, "demo", "--name", "dicke4")

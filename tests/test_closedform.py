@@ -458,8 +458,8 @@ class TestBatchedResolve:
         g2 = als_passes.answer("g_squared", stragglers)
         assert report.passed
         assert report.max_g2_error == float(np.abs(g2 - 0.5).max()) <= 1e-7
-        assert report.rechecked == stragglers.size == 23
-        assert report.to_dict()["rechecked"] == 23
+        assert report.rechecked == stragglers.size == 7
+        assert report.to_dict()["rechecked"] == 7
 
     def test_campaign_without_stragglers_solves_once(self, als_passes):
         report = run_theorem_campaign("h-nonzero", 50, seed=2)

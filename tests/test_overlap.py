@@ -413,6 +413,13 @@ class TestSweepKernel:
         for i, s in enumerate(states):
             basis = ProductState(tuple(sp[i, -1] for sp in starts)).amplitudes()
             assert np.array_equal(np.abs(basis), np.eye(16)[np.argmax(np.abs(s.amplitudes))])
+            alone = _als._initial_spinors(psis[i : i + 1], 5, 9)
+            for a, b in zip(starts, alone):
+                assert np.array_equal(a[i], b[0])
+        # one (n, 1, restarts) draw, shared by every state of the batch
+        drawn = _als.haar_bloch_spinors(np.random.default_rng(9), (4, 1, 5))
+        for sp, column in zip(starts, drawn):
+            assert np.array_equal(sp[:, :-1], np.broadcast_to(column, (4, 5, 2)))
         again = _als._initial_spinors(psis, 5, 9)
         other = _als._initial_spinors(psis, 5, 10)
         for a, b, c in zip(starts, again, other):
@@ -438,13 +445,10 @@ def assert_best_polished(tensors, cfg):
 
 
 def _best_runs(tensors, cfg):
-    """Each state's best ALS run, solved one state at a time, as n arrays (S, 2)."""
-    best = []
-    for psi in tensors:
-        run = _als.power_iteration(psi[None], cfg.restarts, cfg.max_iterations, cfg.tol, cfg.seed)
-        r = np.argmax(run["g_squared"][0])
-        best.append([sp[0, r] for sp in run["spinors"]])
-    return [np.array(column) for column in zip(*best)]
+    """Each state's best ALS run, as n arrays (S, 2)."""
+    run = _als.power_iteration(tensors, cfg.restarts, cfg.max_iterations, cfg.tol, cfg.seed)
+    best = np.argmax(run["g_squared"], axis=1)
+    return [sp[np.arange(len(tensors)), best] for sp in run["spinors"]]
 
 
 class TestFrameAmplitudes:
@@ -564,11 +568,11 @@ class TestSolvePath:
         assert g2[4] == pytest.approx(27 / 64, abs=1e-12)
 
     def test_stalled_polish_is_resolved_at_tol(self, als_passes):
-        # three near-edge samples of criterion 8, each with one side below 0.01:
+        # two near-edge samples of criterion 8, each with one side below 0.01:
         # their coarse runs freeze short of the basin and the polish stalls
         rng = np.random.default_rng(7)
         params = [random_feasible_quadrilateral(rng) for _ in range(500)]
-        stalled = [17, 117, 485]
+        stalled = [117, 140]
         assert all(min(params[i].a, params[i].b, params[i].c, params[i].d) < 0.01 for i in stalled)
         tensors = np.stack([p.to_state().tensor for p in params])
         g2, spinors, residual, sweeps, resolved = _solve_overlaps(tensors, FAST)
@@ -582,6 +586,25 @@ class TestSolvePath:
         closed = np.array([quadrilateral_overlap(params[i]) ** 2 for i in stalled])
         assert np.abs(g2[stalled] - closed).max() <= 1e-12
         assert residual.max() <= _als.POLISHED_RESIDUAL
+
+    def test_state_alone_equals_its_row_in_a_mixed_batch(self, als_passes):
+        # criterion-8 samples 117 and 140 stall in pass 1 and are re-solved; the
+        # Haar and LU-GHZ rows are answered by pass 1
+        rng = np.random.default_rng(7)
+        params = [random_feasible_quadrilateral(rng) for _ in range(500)]
+        states = [haar_random_state(3, seed=60), params[117].to_state(),
+                  apply_local_unitary(ghz_state(3), LocalUnitary.random(3, seed=4)),
+                  haar_random_state(3, seed=61), params[140].to_state()]
+        tensors = np.stack([s.tensor for s in states])
+        batch = _solve_overlaps(tensors, FAST)
+        redo = als_passes.resolved_rows(FAST)
+        for i in range(len(states)):
+            alone = _solve_overlaps(tensors[i : i + 1], FAST)
+            for whole, one in zip((batch[0], *batch[1], batch[2], batch[3]),
+                                  (alone[0], *alone[1], alone[2], alone[3])):
+                assert np.array_equal(whole[i], one[0])
+            assert alone[4] == (i in (1, 4))
+        assert redo.tolist() == [1, 4] and batch[4] == 2
 
     def test_resolved_state_reports_the_answering_pass(self, monkeypatch, als_passes):
         # with no polished residual accepted, every state is re-solved

@@ -74,6 +74,16 @@ class TestMakeState:
         with pytest.raises(ValueError, match="finite"):
             make_state(1, [bad, 1.0])
 
+    @pytest.mark.parametrize("bad", [3.0, True, "3"])
+    def test_qubit_count_must_be_an_integer(self, bad):
+        amps = basis_state(3, 0).amplitudes
+        with pytest.raises(ValueError, match=f"n_qubits must be an integer in 1..8, got {bad!r}"):
+            PureState(bad, amps)
+        with pytest.raises(ValueError, match=f"n_qubits must be an integer in 1..8, got {bad!r}"):
+            make_state(bad, amps)
+        assert PureState(np.int64(3), amps).tensor.shape == (2, 2, 2)
+        assert make_state(np.int64(3), amps).tensor.shape == (2, 2, 2)
+
     def test_huge_finite_amplitudes_normalized(self):
         s = make_state(1, [1e200, 1e200])
         assert np.allclose(s.amplitudes, [1 / SQ2, 1 / SQ2], atol=1e-15)
