@@ -9,7 +9,7 @@ contraction is a chain of two-term products, one qubit axis at a time, on
 right environments cached once per sweep.  Many independent restarts (and
 many independent states) are iterated simultaneously as one flat batch; a
 restart freezes once its squared overlap changes by less than ``tol`` in a
-full sweep.
+full sweep, or once another run of its state freezes at the state's gate.
 """
 
 from __future__ import annotations
@@ -23,6 +23,10 @@ TOL = 1e-13
 # stalls above POLISHED_RESIDUAL is not converged, and its row is re-solved once
 COARSE_TOL = 1e-6
 POLISHED_RESIDUAL = 1e-10
+# its first pass stops a state's runs once one of them freezes within GATE_MARGIN of
+# the state's cut bound; the bracket counts as closed within CLOSED_GAP after the polish
+GATE_MARGIN = 1e-5
+CLOSED_GAP = 1e-10
 
 _POLISH_STEPS = 12
 _PERP_SIGNS = np.array([-1.0, 1.0])
@@ -73,6 +77,7 @@ def power_iteration(
     max_iterations: int,
     tol: float,
     seed,
+    stop_at=None,
 ):
     """Run the alternating update for a batch of states.
 
@@ -85,11 +90,17 @@ def power_iteration(
     tol : freeze a run once its per-sweep change in squared overlap drops
         below this.
     seed : anything acceptable to ``numpy.random.default_rng``.
+    stop_at : optional (S,) gate values.  At the first sweep where one of
+        state s's own runs freezes with a squared overlap >= stop_at[s], all
+        of that state's runs freeze where they are.  The gate reads only the
+        state's own runs, so a state's output does not depend on its batch.
 
     Returns
     -------
     dict with ``g_squared`` (S, R), ``spinors`` (list of n arrays (S, R, 2)),
-    ``iterations`` (S, R) and ``converged`` (S, R).
+    ``iterations`` (S, R), ``converged`` (S, R), false only for the runs
+    stopped by the sweep cap, and ``gated`` (S,), true for the states the gate
+    stopped.
     """
     n = psis.ndim - 1
     n_states = psis.shape[0]
@@ -106,6 +117,8 @@ def power_iteration(
     out_conv = np.zeros(total, dtype=bool)
     out_iters = np.zeros(total, dtype=int)
     out_sp = [np.empty((total, 2), dtype=complex) for _ in range(n)]
+    gated = np.zeros(n_states, dtype=bool)
+    cur_stop = None if stop_at is None else np.repeat(stop_at, n_runs)
 
     for sweep in range(1, max_iterations + 1):
         rows = index.size
@@ -126,6 +139,12 @@ def power_iteration(
         cur_g2 = new_g2
         done = conv if sweep < max_iterations else np.ones(index.size, dtype=bool)
         if done.any():
+            if cur_stop is not None:
+                hit = done & (cur_g2 >= cur_stop)
+                if hit.any():
+                    gated[index[hit] // n_runs] = True
+                    stopped = gated[index // n_runs]
+                    conv, done = conv | stopped, done | stopped
             frozen = index[done]
             out_g2[frozen] = cur_g2[done]
             out_conv[frozen] = conv[done]
@@ -139,12 +158,15 @@ def power_iteration(
             cur_psi = cur_psi[keep]
             cur = [c[keep] for c in cur]
             cur_g2 = cur_g2[keep]
+            if cur_stop is not None:
+                cur_stop = cur_stop[keep]
 
     return {
         "g_squared": out_g2.reshape(n_states, n_runs),
         "spinors": [s.reshape(n_states, n_runs, 2) for s in out_sp],
         "iterations": out_iters.reshape(n_states, n_runs),
         "converged": out_conv.reshape(n_states, n_runs),
+        "gated": gated,
     }
 
 

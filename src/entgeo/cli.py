@@ -163,6 +163,7 @@ def _cmd_overlap(args) -> int:
             "product": [_spinor_doc(sp) for sp in result.product.spinors],
             "lagrange": list(result.lagrange) if result.lagrange else None,
             "stationarity_residual": result.stationarity_residual,
+            "upper_bound": result.upper_bound,
             "restarts_used": result.restarts_used,
             "iterations": result.iterations,
             "converged": result.converged,
@@ -180,6 +181,7 @@ def _cmd_overlap(args) -> int:
             lam1, lam2 = result.lagrange
             print(f"  lambda_1 = {_fmt(lam1)}, lambda_2 = {_fmt(lam2)}")
         print(f"  stationarity residual = {_fmt(result.stationarity_residual)}")
+        print(f"  upper bound = {_fmt(result.upper_bound)} (one-qubit cut)")
         print(
             f"  restarts = {result.restarts_used}, sweeps = {result.iterations}, "
             f"converged = {result.converged}"
@@ -246,7 +248,8 @@ def _cmd_verify_theorem(args) -> int:
             print(
                 f"[{status}] family={r.family} samples={r.samples} "
                 f"max|g^2-1/2|={r.max_g2_error:.3e} max|t|={r.max_abs_t:.3e} "
-                f"max zero-mode residual={r.max_zero_mode_residual:.3e}"
+                f"max zero-mode residual={r.max_zero_mode_residual:.3e} "
+                f"max bracket gap={r.max_bracket_gap:.3e}"
             )
             for f in r.failures:
                 a, b, c, d, h, gamma = f.params

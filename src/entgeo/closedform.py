@@ -35,6 +35,7 @@ from .states import (
     ProductState,
     PureState,
     ZeroBlochFamily,
+    _canonical_tensors,
     _require_int,
     _require_positive,
     _sample_zero_bloch,
@@ -415,7 +416,8 @@ class CampaignReport:
     max_abs_t: float
     max_zero_mode_residual: float
     max_singular_value_error: float
-    rechecked: int  # samples re-solved with the escalated budget: polish stalled or off 1/2
+    rechecked: int  # samples re-solved with the escalated budget (``_solve_overlaps``)
+    max_bracket_gap: float  # widest upper - g^2 against the one-qubit cut bound
     failures: tuple[CampaignFailure, ...] = field(default=())
 
     @property
@@ -433,6 +435,7 @@ class CampaignReport:
             "max_zero_mode_residual": self.max_zero_mode_residual,
             "max_singular_value_error": self.max_singular_value_error,
             "rechecked": self.rechecked,
+            "max_bracket_gap": self.max_bracket_gap,
             "passed": self.passed,
             "failures": [
                 {
@@ -464,10 +467,12 @@ def run_theorem_campaign(
 ) -> CampaignReport:
     """Sample one family, solve every state numerically and check g^2 = 1/2.
 
-    The solver runs all samples and restarts as one batch; samples whose
-    polish stalls or whose error exceeds half the tolerance are re-solved once
-    with ``solver.escalated()`` before being declared failures.  Structure
-    checks (t, zero modes, singular values of G) run on the whole batch.
+    The solver runs all samples and restarts as one batch, each sample's
+    restarts stopping once one reaches its cut bound 1/2 (``_solve_overlaps``);
+    samples whose polish stalls, whose bracket stays open or whose error
+    exceeds half the tolerance are re-solved once with ``solver.escalated()``
+    before being declared failures.  Structure checks (t, zero modes,
+    singular values of G) run on the whole batch.
     """
     _require_sample_count(n_samples, 1)
     _require_int("seed", seed, 0)
@@ -476,14 +481,17 @@ def run_theorem_campaign(
     solver = solver or SolverConfig(restarts=16)
     rng = np.random.default_rng(seed)
     params = [_sample_zero_bloch(family, rng) for _ in range(n_samples)]
-    tensors = np.stack([canonical_to_state(p).tensor for p in params])
-    g2, *_, rechecked = _solve_overlaps(tensors, solver, lambda g: np.abs(g - 0.5) > tolerance / 2)
+    rows = np.array([p.as_tuple() for p in params])
+    tensors = _canonical_tensors(rows)
+    g2, *_, rechecked, upper = _solve_overlaps(
+        tensors, solver, lambda g: np.abs(g - 0.5) > tolerance / 2
+    )
 
     left, right = _zero_mode_residuals(tensors, 2)  # both families have b_C = 0
     max_sv = 0.0
     if family is ZeroBlochFamily.H_NONZERO:
         numeric_sv = np.linalg.svd(_correlation(tensors, 0, 1), compute_uv=False)
-        a, b, _, _, h, _ = np.array([p.as_tuple() for p in params]).T
+        a, b, _, _, h, _ = rows.T
         closed_sv = _g_singular_values(a, b, h)
         max_sv = float(np.abs(numeric_sv - closed_sv).max())
     failures = tuple(
@@ -500,6 +508,7 @@ def run_theorem_campaign(
         max_zero_mode_residual=float(max(left.max(), right.max())),
         max_singular_value_error=max_sv,
         rechecked=rechecked,
+        max_bracket_gap=float((upper - g2).max()),
         failures=failures,
     )
 

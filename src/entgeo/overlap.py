@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _als
 from .invariants import bloch_vector, correlation_matrix
-from .states import ProductState, PureState, _require_int, _require_positive
+from .states import ProductState, PureState, _cut_bound, _require_int, _require_positive
 
 _ESCALATION = 4  # the re-solve budget's factor on restarts and sweeps (``escalated()``)
 
@@ -64,7 +64,10 @@ class OverlapResult:
     ``lagrange`` carries (lambda_1, lambda_2) of the two-qubit stationarity
     system for three-qubit states and is None otherwise.
     ``stationarity_residual`` is the norm of the polished spinor-space
-    residuals, the number ``converged`` is judged on.
+    residuals, the number ``converged`` is judged on.  ``upper_bound`` is the
+    one-qubit cut bound min_q lambda_max(rho_q) >= g^2 (``states._cut_bound``,
+    exact up to 1e-14 of rounding), so ``upper_bound - g_squared`` brackets
+    the error of the answer.
     """
 
     g_squared: float
@@ -74,6 +77,7 @@ class OverlapResult:
     iterations: int
     converged: bool
     stationarity_residual: float
+    upper_bound: float
 
 
 def _off_unit(v: np.ndarray, tol: float) -> bool:
@@ -150,16 +154,18 @@ def _gauge_fix(spinor: np.ndarray) -> np.ndarray:
     return spinor * (np.conj(pivot) / abs(pivot))
 
 
-def _best_polished(tensors: np.ndarray, cfg: SolverConfig, tol: float):
-    """Best of ``cfg.restarts`` + 1 ALS runs frozen at ``tol`` for each state,
-    Newton-polished as one batch, in the order ``_solve_overlaps`` returns."""
-    run = _als.power_iteration(tensors, cfg.restarts, cfg.max_iterations, tol, cfg.seed)
+def _best_polished(tensors: np.ndarray, cfg: SolverConfig, tol: float, stop_at=None):
+    """Best of ``cfg.restarts`` + 1 ALS runs frozen at ``tol`` (and gated at
+    ``stop_at``) for each state, Newton-polished as one batch, in the order
+    ``_solve_overlaps`` returns, with the (S,) gate flags last."""
+    run = _als.power_iteration(tensors, cfg.restarts, cfg.max_iterations, tol, cfg.seed,
+                               stop_at=stop_at)
     rows = np.arange(tensors.shape[0])
     best = np.argmax(run["g_squared"], axis=1)
     spinors, residual, g_squared = _als.polish_stationary(
         tensors, [sp[rows, best] for sp in run["spinors"]]
     )
-    return g_squared, spinors, residual, run["iterations"][rows, best]
+    return g_squared, spinors, residual, run["iterations"][rows, best], run["gated"]
 
 
 def _solve_overlaps(tensors: np.ndarray, cfg: SolverConfig, suspect=None):
@@ -167,27 +173,35 @@ def _solve_overlaps(tensors: np.ndarray, cfg: SolverConfig, suspect=None):
 
     Pass 1 freezes the runs at ``max(cfg.tol, _als.COARSE_TOL)``: ALS only has
     to find the basin, and the Newton polish of each state's best run finishes
-    it quadratically.  The states whose polish stalls above
-    ``_als.POLISHED_RESIDUAL``, or whose value ``suspect(g2)`` flags, are
-    re-solved once, as one batch, with ``cfg.escalated()`` frozen at
-    ``cfg.tol``, and polished again.
+    it quadratically.  Pass 1 is also gated by the one-qubit cut bound
+    ``upper`` (``states._cut_bound``): a state's runs all stop once one of them
+    freezes within ``_als.GATE_MARGIN`` of its ``upper``.  The states whose
+    polish stalls above ``_als.POLISHED_RESIDUAL``, whose gate fired but whose
+    bracket ``upper - g2`` is still wider than ``_als.CLOSED_GAP``, or whose
+    value ``suspect(g2)`` flags, are re-solved once, as one ungated batch,
+    with ``cfg.escalated()`` frozen at ``cfg.tol``, and polished again.
 
     Returns (g_squared (S,), spinors as n arrays (S, 2), residual (S,),
-    sweeps (S,), number of re-solved states); sweeps are those of the best ALS
-    run of the pass that answered each state, the rest is after its polish.
+    sweeps (S,), number of re-solved states, upper (S,)); sweeps are those of
+    the best ALS run of the pass that answered each state, the rest is after
+    its polish.
     """
+    upper = _cut_bound(tensors)
     coarse = max(cfg.tol, _als.COARSE_TOL)
-    g_squared, spinors, residual, sweeps = _best_polished(tensors, cfg, coarse)
-    redo = ~(residual <= _als.POLISHED_RESIDUAL)
+    g_squared, spinors, residual, sweeps, gated = _best_polished(
+        tensors, cfg, coarse, upper - _als.GATE_MARGIN
+    )
+    gated_open = gated & ~(upper - g_squared <= _als.CLOSED_GAP)
+    redo = ~(residual <= _als.POLISHED_RESIDUAL) | gated_open
     if suspect is not None:
         redo |= suspect(g_squared)
     redo = np.flatnonzero(redo)
     if redo.size:
         fine = _best_polished(tensors[redo], cfg.escalated(), cfg.tol)
         for whole, part in zip((g_squared, *spinors, residual, sweeps),
-                               (fine[0], *fine[1], *fine[2:])):
+                               (fine[0], *fine[1], *fine[2:4])):
             whole[redo] = part
-    return g_squared, spinors, residual, sweeps, int(redo.size)
+    return g_squared, spinors, residual, sweeps, int(redo.size), upper
 
 
 def nearest_product_state(s: PureState, cfg: SolverConfig | None = None) -> OverlapResult:
@@ -200,7 +214,7 @@ def nearest_product_state(s: PureState, cfg: SolverConfig | None = None) -> Over
     if s.n_qubits < 2:
         raise ValueError("the product overlap needs at least 2 qubits")
     cfg = cfg or SolverConfig()
-    g_squared, spinors, residual, sweeps, resolved = _solve_overlaps(s.tensor[None], cfg)
+    g_squared, spinors, residual, sweeps, resolved, upper = _solve_overlaps(s.tensor[None], cfg)
     product = ProductState(tuple(_gauge_fix(sp[0]) for sp in spinors))
     residual = float(residual[0])
     lagrange = None
@@ -216,4 +230,5 @@ def nearest_product_state(s: PureState, cfg: SolverConfig | None = None) -> Over
         iterations=int(sweeps[0]),
         converged=residual <= _als.POLISHED_RESIDUAL,
         stationarity_residual=residual,
+        upper_bound=float(upper[0]),
     )

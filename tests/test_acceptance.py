@@ -57,10 +57,13 @@ def theorem_campaigns():
 
 
 def test_criterion_01_theorem_reproduction(theorem_campaigns):
-    """10,000 samples per family all give numeric g^2 = 1/2 within 1e-7."""
+    """10,000 samples per family all give numeric g^2 = 1/2 within 1e-7, each
+    bracketed by its one-qubit cut bound 1/2 to 1e-10."""
     worst = max(r.max_g2_error for r in theorem_campaigns.values())
-    ok = all(r.passed for r in theorem_campaigns.values()) and worst <= 1e-7
-    report(1, ok, f"theorem reproduction on 2 x 10000 samples, max |g^2 - 1/2| = {worst:.3e} (tol 1e-7)")
+    gap = max(r.max_bracket_gap for r in theorem_campaigns.values())
+    ok = all(r.passed for r in theorem_campaigns.values()) and worst <= 1e-7 and gap <= 1e-10
+    report(1, ok, f"theorem reproduction on 2 x 10000 samples, max |g^2 - 1/2| = {worst:.3e} "
+                  f"(tol 1e-7), max bracket gap = {gap:.3e}")
 
 
 def test_criterion_02_dicke_counterexample():

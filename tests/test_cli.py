@@ -110,6 +110,12 @@ class TestOverlapCommand:
         assert doc["g_squared"] == pytest.approx(0.5, abs=1e-9)
         assert doc["geometric_measure"] == pytest.approx(math.log(2), abs=1e-9)
         assert doc["converged"] is True
+        assert doc["upper_bound"] == pytest.approx(0.5, abs=1e-15)
+
+    def test_human_output_shows_the_cut_bound(self, capsys):
+        code, out, _ = run_cli(capsys, "overlap", "--builtin", "w", "--restarts", "8")
+        assert code == 0
+        assert "upper bound = 0.6666666667 (one-qubit cut)" in out
 
     def test_deterministic(self, capsys):
         args = ("overlap", "--builtin", "w", "--restarts", "1", "--seed", "5",
@@ -202,6 +208,7 @@ class TestVerifyTheoremCommand:
         for r in reports:
             assert r["passed"] is True
             assert r["max_g2_error"] <= 1e-7
+            assert abs(r["max_bracket_gap"]) <= 1e-10
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_bad_sample_count_exit_2(self, capsys, count):

@@ -33,6 +33,7 @@ from entgeo import (
     wn_overlap,
     wn_state,
 )
+from entgeo import _als
 from entgeo.closedform import _zero_mode_residuals
 from entgeo.states import ZeroBlochFamily, _sample_zero_bloch
 
@@ -284,7 +285,9 @@ class TestTheoremCheck:
             assert report.max_g2_error <= 1e-7
             assert report.max_abs_t <= 1e-10
             assert report.max_zero_mode_residual <= 1e-10
+            assert report.max_bracket_gap <= _als.CLOSED_GAP
             doc = report.to_dict()
+            assert doc["max_bracket_gap"] == report.max_bracket_gap
             assert doc["family"] == family
             assert doc["samples"] == 200
             assert doc["failures"] == []

@@ -16,6 +16,7 @@ from entgeo import (
     basis_state,
     bloch_to_spinor,
     bloch_vector,
+    canonical_to_state,
     correlation_matrix,
     dicke4_state,
     geometric_measure,
@@ -39,10 +40,13 @@ from entgeo import (
 import entgeo
 from entgeo import _als
 from entgeo.overlap import _solve_overlaps
+from entgeo.states import ZeroBlochFamily, _cut_bound, _sample_zero_bloch
 
 from oracles import grid_overlap_sq
 
 FAST = SolverConfig(restarts=16)
+# rounding slack of g^2 <= the one-qubit cut bound (``states._cut_bound``)
+BOUND_SLACK = 1e-14
 
 
 class TestKnownValues:
@@ -64,6 +68,12 @@ class TestKnownValues:
         result = nearest_product_state(dicke4_state(), FAST)
         assert result.g_squared == pytest.approx(3 / 8, abs=1e-9)
 
+    def test_upper_bound(self):
+        for state, bound in ((ghz_state(3), 0.5), (w_state(3), 2 / 3), (dicke4_state(), 0.5)):
+            result = nearest_product_state(state, FAST)
+            assert result.upper_bound == pytest.approx(bound, abs=1e-15)
+            assert result.g_squared <= result.upper_bound + BOUND_SLACK
+
     def test_product_state_converges_fast(self):
         result = nearest_product_state(basis_state(3, 5), FAST)
         assert result.g_squared == pytest.approx(1.0, abs=1e-12)
@@ -78,6 +88,21 @@ class TestKnownValues:
 
 
 class TestSolverContracts:
+    def test_gate_stops_a_state_at_its_first_freeze(self):
+        # stop_at 0 fires on state 0's first freezing run; +inf never fires
+        psis = np.stack([haar_random_state(4, seed=seed).tensor for seed in (1, 2)])
+        free = _als.power_iteration(psis, 8, 500, 1e-6, 3)
+        gated = _als.power_iteration(psis, 8, 500, 1e-6, 3, stop_at=np.array([0.0, np.inf]))
+        assert gated["gated"].tolist() == [True, False] and not free["gated"].any()
+        first = free["iterations"][0].min()
+        assert np.all(gated["iterations"][0] == first) and gated["converged"][0].all()
+        froze = free["iterations"][0] == first
+        assert np.array_equal(gated["g_squared"][0, froze], free["g_squared"][0, froze])
+        for key in ("g_squared", "iterations", "converged"):
+            assert np.array_equal(gated[key][1], free[key][1])
+        for a, b in zip(gated["spinors"], free["spinors"]):
+            assert np.array_equal(a[1], b[1])
+
     def test_monotone_sweeps(self):
         # a cap of k sweeps reports each run after sweep min(k, its freeze sweep),
         # so stacking the capped results gives every run's per-sweep history
@@ -551,7 +576,8 @@ class TestSolvePath:
         states.append(apply_local_unitary(w_state(4), LocalUnitary.random(4, seed=2)))
         tensors = np.stack([s.tensor for s in states])
         cfg = SolverConfig(restarts=8, seed=5)
-        g2, spinors, residual, sweeps, resolved = _solve_overlaps(tensors, cfg)
+        g2, spinors, residual, sweeps, resolved, upper = _solve_overlaps(tensors, cfg)
+        assert np.array_equal(upper, _cut_bound(tensors)) and np.all(g2 <= upper + BOUND_SLACK)
         # pass 1: runs frozen at the coarse tolerance, each state's best one
         # polished; the stalled rows are re-solved (see the stalled-polish test)
         redo = als_passes.resolved_rows(cfg)
@@ -575,7 +601,7 @@ class TestSolvePath:
         stalled = [117, 140]
         assert all(min(params[i].a, params[i].b, params[i].c, params[i].d) < 0.01 for i in stalled)
         tensors = np.stack([p.to_state().tensor for p in params])
-        g2, spinors, residual, sweeps, resolved = _solve_overlaps(tensors, FAST)
+        g2, spinors, residual, sweeps, resolved, _ = _solve_overlaps(tensors, FAST)
         stall = als_passes[0]["residual"]
         assert np.flatnonzero(stall > _als.POLISHED_RESIDUAL).tolist() == stalled
         assert 4e-4 <= stall[stalled].min() and stall[stalled].max() <= 7e-4
@@ -589,22 +615,44 @@ class TestSolvePath:
 
     def test_state_alone_equals_its_row_in_a_mixed_batch(self, als_passes):
         # criterion-8 samples 117 and 140 stall in pass 1 and are re-solved; the
-        # Haar and LU-GHZ rows are answered by pass 1
+        # Haar rows are answered by pass 1 ungated, and the LU-GHZ row and the
+        # campaign samples (one-qubit cut bound 1/2) by pass 1 at the gate
         rng = np.random.default_rng(7)
         params = [random_feasible_quadrilateral(rng) for _ in range(500)]
+        rng = np.random.default_rng(12)
+        campaign = [canonical_to_state(_sample_zero_bloch(family, rng))
+                    for family in ZeroBlochFamily for _ in range(3)]
         states = [haar_random_state(3, seed=60), params[117].to_state(),
                   apply_local_unitary(ghz_state(3), LocalUnitary.random(3, seed=4)),
-                  haar_random_state(3, seed=61), params[140].to_state()]
+                  haar_random_state(3, seed=61), params[140].to_state(), *campaign]
         tensors = np.stack([s.tensor for s in states])
         batch = _solve_overlaps(tensors, FAST)
         redo = als_passes.resolved_rows(FAST)
+        assert np.flatnonzero(als_passes[0]["gated"]).tolist() == [2, *range(5, len(states))]
         for i in range(len(states)):
             alone = _solve_overlaps(tensors[i : i + 1], FAST)
-            for whole, one in zip((batch[0], *batch[1], batch[2], batch[3]),
-                                  (alone[0], *alone[1], alone[2], alone[3])):
+            for whole, one in zip((batch[0], *batch[1], *batch[2:4], batch[5]),
+                                  (alone[0], *alone[1], *alone[2:4], alone[5])):
                 assert np.array_equal(whole[i], one[0])
             assert alone[4] == (i in (1, 4))
         assert redo.tolist() == [1, 4] and batch[4] == 2
+        assert np.abs(batch[0][2:3] - 0.5).max() <= 1e-15
+        assert np.abs(batch[0][5:] - 0.5).max() <= 1e-15
+
+    def test_false_gate_fire_is_resolved_ungated(self, monkeypatch, als_passes):
+        # with a gate margin of 1, each state's first freezing run fires the
+        # gate; no Haar state reaches its cut bound, so every row is left
+        # gated-open and re-solved once, ungated, under the escalated budget
+        tensors = np.stack([haar_random_state(3, seed=seed).tensor for seed in range(8)])
+        ungated = _solve_overlaps(tensors, FAST)
+        assert not als_passes[0]["gated"].any() and ungated[4] == 0
+        als_passes.clear()
+        monkeypatch.setattr(_als, "GATE_MARGIN", 1.0)
+        g2, *_, resolved, upper = _solve_overlaps(tensors, FAST)
+        assert als_passes[0]["gated"].all()
+        assert np.all(upper - als_passes[0]["g_squared"] > _als.CLOSED_GAP)
+        assert als_passes.resolved_rows(FAST).tolist() == list(range(8)) and resolved == 8
+        assert np.all(g2 >= ungated[0] - 1e-12)
 
     def test_resolved_state_reports_the_answering_pass(self, monkeypatch, als_passes):
         # with no polished residual accepted, every state is re-solved

@@ -1,6 +1,6 @@
 """Property tests on drawn states: the invariants and g^2 do not see qubit
-relabelings or local unitaries, G transposes when its qubits swap, and the
-state document round-trips."""
+relabelings or local unitaries, G transposes when its qubits swap, the
+state document round-trips, and g^2 stays below its one-qubit cut bound."""
 
 import json
 import warnings
@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from entgeo import (
     LocalUnitary,
+    SolverConfig,
     apply_local_unitary,
+    bloch_vector,
     correlation_matrix,
     haar_random_state,
     invariant_set,
@@ -120,3 +122,15 @@ def test_state_document_round_trips(n, data):
     assert back.n_qubits == s.n_qubits
     assert np.abs(back.amplitudes - s.amplitudes).max() <= 1e-15
     assert abs(back.norm_factor - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@PROPERTY
+@given(data=st.data())
+def test_g_squared_below_the_cut_bound(n, data):
+    # sparse drawn states include product and GHZ-like states, where g^2 meets the bound
+    s = data.draw(documents_of(n))
+    result = nearest_product_state(s, SolverConfig(restarts=8))
+    assert result.g_squared <= result.upper_bound + 1e-14
+    lengths = [np.linalg.norm(bloch_vector(s, q)) for q in range(n)]
+    assert abs(result.upper_bound - 0.5 * (1.0 + min(lengths))) <= 1e-14

@@ -30,7 +30,8 @@ from entgeo import (
     state_to_dict,
     w_state,
 )
-from entgeo.invariants import canonical_bloch_vectors
+from entgeo.invariants import bloch_length, canonical_bloch_vectors
+from entgeo.states import _canonical_tensors, _cut_bound, _sample_zero_bloch
 
 from oracles import dense_rho_pair, dense_rho_single
 
@@ -128,6 +129,15 @@ class TestCanonicalToState:
             CanonicalParams(a=0.9, b=0, c=0, d=0.9, h=0.0)
         with pytest.raises(ValueError):
             CanonicalParams(a=0, b=0, c=0, d=1.0, h=0.0, gamma=2.0)
+
+    def test_batch_rows_equal_scalar_calls(self):
+        rng = np.random.default_rng(3)
+        params = [_sample_zero_bloch(family, rng) for family in ZeroBlochFamily for _ in range(20)]
+        params.append(CanonicalParams(a=0.3, b=0.4, c=0.0, d=math.sqrt(0.5), h=0.5, gamma=-1.2))
+        batch = _canonical_tensors(np.array([p.as_tuple() for p in params]))
+        assert batch.shape == (len(params), 2, 2, 2)
+        for row, p in zip(batch, params):
+            assert np.array_equal(row, canonical_to_state(p).tensor)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_params_named(self, bad):
@@ -227,6 +237,24 @@ class TestPartialTraces:
             partial_trace_single(ghz_state(3), 3)
         with pytest.raises(ValueError):
             partial_trace_pair(ghz_state(3), 1, 1)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_cut_bound_is_the_least_mixed_qubit(self, n):
+        states = [haar_random_state(n, seed=10 + k) for k in range(3)]
+        states += [ghz_state(n), w_state(n), basis_state(n, 1)]
+        states.append(apply_local_unitary(ghz_state(n), LocalUnitary.random(n, seed=n)))
+        upper = _cut_bound(np.stack([s.tensor for s in states]))
+        for bound, s in zip(upper, states):
+            expect = 0.5 * (1.0 + min(bloch_length(s, q) for q in range(n)))
+            assert bound == pytest.approx(expect, abs=1e-14)
+            assert bound == _cut_bound(s.tensor[None])[0]
+        assert upper[3:].tolist() == pytest.approx([0.5, 1.0 - 1.0 / n, 1.0, 0.5], abs=1e-15)
+
+    def test_cut_bound_on_the_zero_bloch_manifold(self):
+        rng = np.random.default_rng(5)
+        params = [_sample_zero_bloch(family, rng) for family in ZeroBlochFamily for _ in range(50)]
+        upper = _cut_bound(_canonical_tensors(np.array([p.as_tuple() for p in params])))
+        assert np.abs(upper - 0.5).max() <= 1e-15
 
     def test_schmidt_symmetry_two_qubits(self):
         for seed in range(20):
