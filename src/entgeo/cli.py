@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from .closedform import (
+    _THEOREM_SOLVER,
     InfeasibleQuadrilateralError,
     dicke4_state,
     ghz_overlap,
@@ -433,7 +434,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, metavar="N")
     p.add_argument("--tol", type=float, default=1e-7, metavar="X",
                    help="pass tolerance on |g^2 - 1/2|")
-    p.add_argument("--restarts", type=int, default=16, metavar="N")
+    p.add_argument("--restarts", type=int, default=_THEOREM_SOLVER.restarts, metavar="N",
+                   help="restarts of the first pass; a sample whose polish stalls, whose "
+                        "bracket against the cut bound 1/2 stays open or that misses 1/2 "
+                        "is re-solved once with 4x the restarts and sweeps")
     p.add_argument("--max-iters", type=int, default=SolverConfig.max_iterations, metavar="N")
     p.add_argument("--format", choices=("human", "structured"), default="human")
     p.set_defaults(func=_cmd_verify_theorem)

@@ -39,6 +39,7 @@ from .states import (
     _require_int,
     _require_positive,
     _sample_zero_bloch,
+    _sample_zero_bloch_rows,
     canonical_to_state,
     ghz_state,
     haar_random_state,
@@ -352,6 +353,11 @@ def _zero_mode_residuals(tensors: np.ndarray, vanishing: int) -> tuple[np.ndarra
     return np.linalg.norm(left, axis=1), np.linalg.norm(right, axis=1)
 
 
+# first-pass budget of the zero-Bloch checks: their evidence is the bracket
+# against the cut bound 1/2, closed on the manifold, not agreement among restarts
+_THEOREM_SOLVER = SolverConfig(restarts=2)
+
+
 def theorem_check(
     p: CanonicalParams,
     tolerance: float = 1e-7,
@@ -362,12 +368,14 @@ def theorem_check(
 
     The sample may be relabeled through ``permutation`` so the vanishing
     Bloch vector lands on any qubit; the overlap is permutation invariant.
-    The numeric value is re-solved once with ``solver.escalated()`` when its
-    polish stalls or it misses 1/2 by more than half the tolerance, as in
+    The numeric value comes from ``solver`` (default ``_THEOREM_SOLVER``, 2
+    restarts) and is re-solved once with ``solver.escalated()`` when its
+    polish stalls, its bracket against the cut bound 1/2 stays open after
+    the gate fired, or it misses 1/2 by more than half the tolerance, as in
     ``run_theorem_campaign``.
     """
     _require_positive("tolerance", tolerance)
-    solver = solver or SolverConfig(restarts=16)
+    solver = solver or _THEOREM_SOLVER
     state = permute_qubits(canonical_to_state(p), permutation)
     if p.h <= 1e-14:
         closed_path = "quadrilateral"
@@ -467,21 +475,20 @@ def run_theorem_campaign(
 ) -> CampaignReport:
     """Sample one family, solve every state numerically and check g^2 = 1/2.
 
-    The solver runs all samples and restarts as one batch, each sample's
-    restarts stopping once one reaches its cut bound 1/2 (``_solve_overlaps``);
-    samples whose polish stalls, whose bracket stays open or whose error
-    exceeds half the tolerance are re-solved once with ``solver.escalated()``
-    before being declared failures.  Structure checks (t, zero modes,
-    singular values of G) run on the whole batch.
+    The solver (default ``_THEOREM_SOLVER``, 2 restarts) runs all samples
+    and restarts as one batch, each sample's restarts stopping once one
+    reaches its cut bound 1/2 (``_solve_overlaps``); samples whose polish
+    stalls, whose bracket stays open or whose error exceeds half the
+    tolerance are re-solved once with ``solver.escalated()`` before being
+    declared failures.  Structure checks (t, zero modes, singular values of
+    G) run on the whole batch.
     """
     _require_sample_count(n_samples, 1)
     _require_int("seed", seed, 0)
     _require_positive("tolerance", tolerance)
     family = ZeroBlochFamily(family)
-    solver = solver or SolverConfig(restarts=16)
-    rng = np.random.default_rng(seed)
-    params = [_sample_zero_bloch(family, rng) for _ in range(n_samples)]
-    rows = np.array([p.as_tuple() for p in params])
+    solver = solver or _THEOREM_SOLVER
+    rows = _sample_zero_bloch_rows(family, np.random.default_rng(seed), n_samples)
     tensors = _canonical_tensors(rows)
     g2, *_, rechecked, upper = _solve_overlaps(
         tensors, solver, lambda g: np.abs(g - 0.5) > tolerance / 2
@@ -495,7 +502,8 @@ def run_theorem_campaign(
         closed_sv = _g_singular_values(a, b, h)
         max_sv = float(np.abs(numeric_sv - closed_sv).max())
     failures = tuple(
-        CampaignFailure(index=int(i), params=params[i].as_tuple(), numeric_g_squared=float(g2[i]))
+        CampaignFailure(index=int(i), params=tuple(rows[i].tolist()),
+                        numeric_g_squared=float(g2[i]))
         for i in np.flatnonzero(np.abs(g2 - 0.5) > tolerance)
     )
     return CampaignReport(

@@ -346,23 +346,35 @@ class ZeroBlochFamily(str, enum.Enum):
 _SAMPLE_FLOOR = 0.05
 
 
-def _sample_zero_bloch(family: ZeroBlochFamily, rng: np.random.Generator) -> CanonicalParams:
+def _sample_zero_bloch_rows(
+    family: ZeroBlochFamily, rng: np.random.Generator, n: int
+) -> np.ndarray:
+    """(n, 6) unvalidated rows (a, b, c, d, h, gamma) of one zero-Bloch family.
+
+    Consumes the same draws as n one-sample calls: the quadrilateral family
+    takes two uniform angles per sample, and each h-nonzero rejection round
+    draws exactly the normal triples still missing, keeping those whose
+    scaled amplitudes all clear ``_SAMPLE_FLOOR``.
+    """
     half = math.sqrt(0.5)
+    rows = np.zeros((n, 6))
     if family is ZeroBlochFamily.QUADRILATERAL:
         lo = math.asin(_SAMPLE_FLOOR / half)
-        u, v = rng.uniform(lo, math.pi / 2 - lo, size=2)
-        return CanonicalParams(
-            a=half * math.cos(u), b=half * math.sin(u),
-            c=half * math.cos(v), d=half * math.sin(v),
-            h=0.0, gamma=0.0,
-        )
-    while True:
-        v = np.abs(rng.normal(size=3))
-        v *= half / np.linalg.norm(v)
-        if v.min() >= _SAMPLE_FLOOR:
-            return CanonicalParams(
-                a=float(v[0]), b=float(v[1]), c=0.0, d=half, h=float(v[2]), gamma=0.0
-            )
+        u, v = rng.uniform(lo, math.pi / 2 - lo, size=(n, 2)).T
+        rows[:, :4] = half * np.stack([np.cos(u), np.sin(u), np.cos(v), np.sin(v)], axis=1)
+        return rows
+    abh = np.empty((0, 3))
+    while len(abh) < n:
+        v = np.abs(rng.normal(size=(n - len(abh), 3)))
+        v *= half / np.sqrt(v[:, None] @ v[..., None])[:, 0]  # a dot per row, as np.linalg.norm
+        abh = np.concatenate([abh, v[v.min(axis=1) >= _SAMPLE_FLOOR]])
+    rows[:, [0, 1, 4]] = abh
+    rows[:, 3] = half
+    return rows
+
+
+def _sample_zero_bloch(family: ZeroBlochFamily, rng: np.random.Generator) -> CanonicalParams:
+    return CanonicalParams(*_sample_zero_bloch_rows(family, rng, 1)[0].tolist())
 
 
 def sample_zero_bloch_manifold(family, seed=None) -> CanonicalParams:

@@ -16,6 +16,7 @@ from entgeo import (
     state_from_dict,
 )
 from entgeo.cli import main
+from entgeo.closedform import _THEOREM_SOLVER
 
 
 def run_cli(capsys, *argv):
@@ -230,6 +231,11 @@ class TestVerifyTheoremCommand:
         assert code == 1
         assert "FAIL" in out
         assert "failing sample" in out
+
+    def test_default_budget_is_the_library_default(self):
+        args = cli.build_parser().parse_args(["verify-theorem"])
+        assert args.restarts == _THEOREM_SOLVER.restarts
+        assert args.max_iters == _THEOREM_SOLVER.max_iterations
 
     def test_deterministic(self, capsys):
         args = ("verify-theorem", "--family", "quadrilateral", "--samples", "30",

@@ -34,8 +34,8 @@ from entgeo import (
     wn_state,
 )
 from entgeo import _als
-from entgeo.closedform import _zero_mode_residuals
-from entgeo.states import ZeroBlochFamily, _sample_zero_bloch
+from entgeo.closedform import _THEOREM_SOLVER, _zero_mode_residuals
+from entgeo.states import ZeroBlochFamily, _sample_zero_bloch, _sample_zero_bloch_rows
 
 FAST = SolverConfig(restarts=16)
 # a budget too small for the first pass, so that samples get re-solved
@@ -355,6 +355,11 @@ class TestTheoremCheck:
         assert report.failures
         a, b, c, d, h, gamma = report.failures[0].params
         assert c == 0.0
+        rng = np.random.default_rng(1)
+        samples = [_sample_zero_bloch(ZeroBlochFamily.H_NONZERO, rng) for _ in range(20)]
+        assert [f.params for f in report.failures] == [
+            samples[f.index].as_tuple() for f in report.failures
+        ]
 
 
 class TestGhzFamily:
@@ -467,7 +472,27 @@ class TestBatchedResolve:
     def test_campaign_without_stragglers_solves_once(self, als_passes):
         report = run_theorem_campaign("h-nonzero", 50, seed=2)
         assert report.passed and report.rechecked == 0
-        assert als_passes.resolved_rows(FAST, self.off_half(report.tolerance)).size == 0
+        assert als_passes.resolved_rows(_THEOREM_SOLVER, self.off_half(report.tolerance)).size == 0
+
+    def test_default_budget_escalates_flagged_samples(self, als_passes):
+        # a tolerance below rounding flags every sample not exactly at 1/2
+        report = run_theorem_campaign("h-nonzero", 20, seed=1, tolerance=1e-17)
+        cfg = _THEOREM_SOLVER
+        flagged = als_passes.resolved_rows(cfg, self.off_half(report.tolerance))
+        assert als_passes[1]["budget"] == (
+            4 * cfg.restarts, 4 * cfg.max_iterations, cfg.tol, cfg.seed + 1
+        )
+        assert report.rechecked == flagged.size > 0
+        g2 = als_passes.answer("g_squared", flagged)
+        assert [f.index for f in report.failures] == list(np.flatnonzero(np.abs(g2 - 0.5) > 1e-17))
+
+    @pytest.mark.parametrize("family", list(ZeroBlochFamily))
+    def test_theorem_check_equals_campaign_row(self, als_passes, family):
+        report = run_theorem_campaign(family, 40, seed=4)
+        stragglers = als_passes.resolved_rows(_THEOREM_SOLVER, self.off_half(report.tolerance))
+        g2 = als_passes.answer("g_squared", stragglers)
+        rows = _sample_zero_bloch_rows(family, np.random.default_rng(4), 40)
+        assert [theorem_check(CanonicalParams(*row)).numeric_g_squared for row in rows] == list(g2)
 
     def test_theorem_check_resolves_a_straggler(self, als_passes):
         rng = np.random.default_rng(11)

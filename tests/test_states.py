@@ -31,7 +31,12 @@ from entgeo import (
     w_state,
 )
 from entgeo.invariants import bloch_length, canonical_bloch_vectors
-from entgeo.states import _canonical_tensors, _cut_bound, _sample_zero_bloch
+from entgeo.states import (
+    _canonical_tensors,
+    _cut_bound,
+    _sample_zero_bloch,
+    _sample_zero_bloch_rows,
+)
 
 from oracles import dense_rho_pair, dense_rho_single
 
@@ -290,7 +295,37 @@ class TestHaarSampling:
         assert abs(vals.mean() - 2.0 / 3.0) < 3.0 * se
 
 
+def one_zero_bloch_sample(family: ZeroBlochFamily, rng: np.random.Generator) -> tuple:
+    """Reference one-sample sampler: two uniform angles, or normal triples
+    until one clears the 0.05 floor, drawn one sample at a time."""
+    half = math.sqrt(0.5)
+    if family is ZeroBlochFamily.QUADRILATERAL:
+        lo = math.asin(0.05 / half)
+        u, v = rng.uniform(lo, math.pi / 2 - lo, size=2)
+        return (half * math.cos(u), half * math.sin(u), half * math.cos(v), half * math.sin(v),
+                0.0, 0.0)
+    while True:
+        v = np.abs(rng.normal(size=3))
+        v *= half / np.linalg.norm(v)
+        if v.min() >= 0.05:
+            return (v[0], v[1], 0.0, half, v[2], 0.0)
+
+
 class TestZeroBlochSampling:
+    @pytest.mark.parametrize("family", list(ZeroBlochFamily))
+    def test_rows_consume_the_draws_of_one_sample_calls(self, family):
+        batched, looped, wrapped = (np.random.default_rng(8) for _ in range(3))
+        rows = _sample_zero_bloch_rows(family, batched, 500)
+        reference = np.array([one_zero_bloch_sample(family, looped) for _ in range(500)])
+        singles = [_sample_zero_bloch(family, wrapped).as_tuple() for _ in range(500)]
+        assert batched.random() == looped.random() == wrapped.random()  # the next draw
+        assert [tuple(r) for r in rows.tolist()] == singles
+        if family is ZeroBlochFamily.QUADRILATERAL:
+            assert np.array_equal(rows, reference)
+        else:
+            # the row norm is a batched reduction, within an ulp of the 1-D norm
+            np.testing.assert_allclose(rows, reference, rtol=4 * np.finfo(float).eps, atol=0)
+
     def test_quadrilateral_example_params(self):
         p = CanonicalParams(a=0.6, b=math.sqrt(0.14), c=0.5, d=0.5, h=0.0)
         assert np.linalg.norm(canonical_bloch_vectors(p)[2]) < 1e-12
