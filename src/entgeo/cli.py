@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from .closedform import (
+    _EXAMPLE_SOLVER,
     _THEOREM_SOLVER,
     InfeasibleQuadrilateralError,
     dicke4_state,
@@ -32,6 +33,7 @@ from .states import (
     CanonicalizationError,
     PureState,
     StateFormatError,
+    _CANON_RESTARTS,
     _normalize,
     apply_local_unitary,
     canonical_to_state,
@@ -388,7 +390,7 @@ def _add_state_source(p: argparse.ArgumentParser):
                    help="ghz | w | dicke4 | canonical:a,b,c,d,h,gamma")
 
 
-def _add_solver_flags(p: argparse.ArgumentParser, restarts: int = 64):
+def _add_solver_flags(p: argparse.ArgumentParser, restarts: int = SolverConfig.restarts):
     p.add_argument("--restarts", type=int, default=restarts, metavar="N")
     p.add_argument("--max-iters", type=int, default=SolverConfig.max_iterations, metavar="N",
                    help="sweep cap of each alternating run; 4x N in the re-solve pass")
@@ -421,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("canonicalize", help="canonical form of a 3-qubit state")
     _add_state_source(p)
-    p.add_argument("--restarts", type=int, default=32, metavar="N")
+    p.add_argument("--restarts", type=int, default=_CANON_RESTARTS, metavar="N")
     p.add_argument("--seed", type=int, default=0, metavar="N")
     p.add_argument("--format", choices=("human", "structured"), default="human")
     p.set_defaults(func=_cmd_canonicalize)
@@ -444,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="reproduce the example families")
     p.add_argument("--name", required=True, choices=tuple(_DEMOS))
-    p.add_argument("--restarts", type=int, default=16, metavar="N")
+    p.add_argument("--restarts", type=int, default=_EXAMPLE_SOLVER.restarts, metavar="N")
     p.add_argument("--seed", type=int, default=0, metavar="N")
     p.add_argument("--format", choices=("human", "structured"), default="human")
     p.set_defaults(func=_cmd_demo)
@@ -452,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inverse-search",
                        help="explore whether g^2 = 1/2 forces a zero Bloch vector")
     p.add_argument("--samples", type=int, default=200, metavar="N")
-    _add_solver_flags(p, restarts=16)
+    _add_solver_flags(p, restarts=_EXAMPLE_SOLVER.restarts)
     p.add_argument("--format", choices=("human", "structured"), default="human")
     p.set_defaults(func=_cmd_inverse_search)
 

@@ -356,6 +356,14 @@ def _zero_mode_residuals(tensors: np.ndarray, vanishing: int) -> tuple[np.ndarra
 # first-pass budget of the zero-Bloch checks: their evidence is the bracket
 # against the cut bound 1/2, closed on the manifold, not agreement among restarts
 _THEOREM_SOLVER = SolverConfig(restarts=2)
+# budget of the example families and the inverse search, where no bracket closes
+_EXAMPLE_SOLVER = SolverConfig(restarts=16)
+
+
+def _misses_half(tolerance: float):
+    """Re-solve predicate of the zero-Bloch checks: g^2 off 1/2 by more than
+    half the tolerance."""
+    return lambda g: np.abs(g - 0.5) > tolerance / 2
 
 
 def theorem_check(
@@ -388,7 +396,7 @@ def theorem_check(
     vanishing = int(np.argmin(lengths))
     tensor = state.tensor[None]
     left, right = _zero_mode_residuals(tensor, vanishing)
-    numeric = _solve_overlaps(tensor, solver, lambda g: np.abs(g - 0.5) > tolerance / 2)[0][0]
+    numeric = _solve_overlaps(tensor, solver, _misses_half(tolerance))[0][0]
     return TheoremCheckReport(
         params=p,
         permutation=tuple(permutation),
@@ -490,9 +498,7 @@ def run_theorem_campaign(
     solver = solver or _THEOREM_SOLVER
     rows = _sample_zero_bloch_rows(family, np.random.default_rng(seed), n_samples)
     tensors = _canonical_tensors(rows)
-    g2, *_, rechecked, upper = _solve_overlaps(
-        tensors, solver, lambda g: np.abs(g - 0.5) > tolerance / 2
-    )
+    g2, *_, rechecked, upper = _solve_overlaps(tensors, solver, _misses_half(tolerance))
 
     left, right = _zero_mode_residuals(tensors, 2)  # both families have b_C = 0
     max_sv = 0.0
@@ -586,7 +592,7 @@ def wn_overlap(coeffs, solver: SolverConfig | None = None) -> WnReport:
     The Bloch length of qubit i is |1 - 2 c_i^2|, zero exactly when
     c_i = 1/sqrt(2).
     """
-    solver = solver or SolverConfig(restarts=16)
+    solver = solver or _EXAMPLE_SOLVER
     state = wn_state(coeffs)
     c = np.asarray(coeffs, dtype=float)
     lengths = np.array([np.linalg.norm(bloch_vector(state, q)) for q in range(c.size)])
@@ -669,7 +675,7 @@ def inverse_search(
     _require_sample_count(n_samples, 0)
     _require_int("seed", seed, 0)
     _require_positive("filter_tol", filter_tol)
-    solver = solver or SolverConfig(restarts=16)
+    solver = solver or _EXAMPLE_SOLVER
     rng = np.random.default_rng(seed)
     states = [haar_random_state(3, rng) for _ in range(n_samples)]
     control_from = len(states)

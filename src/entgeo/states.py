@@ -513,71 +513,52 @@ def load_state(path, allow_unnormalized: bool = False) -> PureState:
 # canonicalization
 
 # diagonal-phase gauge: amplitude (i, j, k) picks up i*thA + j*thB + k*thC + phi,
-# one row per constrained index
-_PHASE_ROWS = {
-    0: (0.0, 0.0, 0.0, 1.0),
-    3: (0.0, 1.0, 1.0, 1.0),
-    5: (1.0, 0.0, 1.0, 1.0),
-    6: (1.0, 1.0, 0.0, 1.0),
-    7: (1.0, 1.0, 1.0, 1.0),
-}
+# row (i, j, k, 1) of amplitude index 4i + 2j + k
+_GAUGE_BITS = np.array([[i >> 2 & 1, i >> 1 & 1, i & 1, 1] for i in range(8)], dtype=float)
 _ZERO_AMP = 1e-10
 _CANON_RESIDUAL_TOL = 1e-9
+_CANON_RESTARTS = 32
 
 
-def _solve_phase_gauge(amps: np.ndarray) -> np.ndarray:
-    """Phases (thA, thB, thC, phi) making amplitudes 0, 3, 5, 6 real nonnegative.
+def _gauge_fix(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Canonical rows (a, b, c, d, h, gamma), gauge phases (thA, thB, thC, phi)
+    and residuals of a (B, 8) batch of amplitudes of states in their frames.
 
-    Gauge freedom left over by vanishing amplitudes is spent on zeroing the
-    phase of amplitude 7.
+    The phases make the non-vanishing amplitudes among 0, 3, 5 and 6 real
+    and nonnegative; gauge freedom left over by vanishing ones is spent on
+    zeroing the phase of amplitude 7.  They are the minimum-norm solution of
+    each branch's masked phase rows, one stacked pinv for the batch.  The
+    gauge only moves phases, so magnitudes are read from |amps| and phases
+    added as reals: a complex multiply rounds differently by batch position.
     """
-    constrained = [i for i in (0, 3, 5, 6) if abs(amps[i]) > _ZERO_AMP]
-    rows = [_PHASE_ROWS[i] for i in constrained]
-    target = [-np.angle(amps[i]) for i in constrained]
-    if len(rows) < 4 and abs(amps[7]) > _ZERO_AMP:
-        rows.append(_PHASE_ROWS[7])
-        target.append(-np.angle(amps[7]))
-    if not rows:
-        return np.zeros(4)
-    a = np.array(rows)
-    b = np.array(target)
-    if len(rows) == 4:
-        return np.linalg.solve(a, b)
-    return np.linalg.lstsq(a, b, rcond=None)[0]
+    mag, ang = np.abs(amps), np.angle(amps)
+    live = mag > _ZERO_AMP
+    used = live[:, [0, 3, 5, 6, 7]]
+    used[:, 4] &= ~used[:, :4].all(axis=1)
+    system = _GAUGE_BITS[[0, 3, 5, 6, 7]] * used[..., None]
+    target = -ang[:, [0, 3, 5, 6, 7]] * used
+    theta = (np.linalg.pinv(system) @ target[..., None])[..., 0]
+    phase = ang + (theta[:, None, :] * _GAUGE_BITS).sum(axis=2)
+    # the phase of amplitude 7, reduced to (-pi, pi]
+    gamma = np.where(live[:, 7], math.pi - np.remainder(math.pi - phase[:, 7], 2 * math.pi), 0.0)
+    # adding pi to every qubit phase shifts gamma by pi and amplitudes 0, 3, 5
+    # and 6 by multiples of 2 pi; gamma within 1e-12 of -pi/2 goes to pi/2
+    fold = (gamma > math.pi / 2 + 1e-12) | (gamma <= 1e-12 - math.pi / 2)
+    theta[:, :3] += math.pi * fold[:, None]
+    gamma -= math.pi * np.sign(gamma) * fold
+    gamma[np.abs(gamma) < 1e-12] = 0.0
+    real = mag[:, [0, 3, 5, 6]] * np.cos(phase[:, [0, 3, 5, 6]])
+    imag = mag[:, [0, 3, 5, 6]] * np.sin(phase[:, [0, 3, 5, 6]])
+    deviation = np.column_stack([mag[:, [1, 2, 4]], imag, np.minimum(real, 0.0)])
+    residual = np.sum(deviation**2, axis=1)
+    vals = mag[:, [3, 5, 6, 0, 7]]
+    rows = np.column_stack([vals / np.linalg.norm(vals, axis=1, keepdims=True), gamma])
+    return rows, theta, residual
 
 
-def _phase_vector(theta: np.ndarray) -> np.ndarray:
-    th_a, th_b, th_c, phi = theta
-    bits = np.arange(8)
-    total = (
-        th_a * ((bits >> 2) & 1) + th_b * ((bits >> 1) & 1) + th_c * (bits & 1) + phi
-    )
-    return np.exp(1j * total)
-
-
-def _canonical_rep(amps: np.ndarray):
-    """Canonical parameters, gauge phases (thA, thB, thC, phi) and residual of
-    one stationary branch, from the 8 amplitudes of the state in its frame."""
-    theta = _solve_phase_gauge(amps)
-    gauged = amps * _phase_vector(theta)
-    gamma = float(np.angle(gauged[7])) if abs(gauged[7]) > _ZERO_AMP else 0.0
-    if gamma > math.pi / 2 or gamma <= -math.pi / 2:
-        # adding pi to every qubit phase shifts gamma by pi and leaves the
-        # other constrained amplitudes fixed
-        theta = theta + np.array([math.pi, math.pi, math.pi, 0.0])
-        gauged = amps * _phase_vector(theta)
-        gamma = float(np.angle(gauged[7])) if abs(gauged[7]) > _ZERO_AMP else 0.0
-    if abs(gamma) < 1e-12:
-        gamma = 0.0
-    residual = float(np.sum(np.abs(gauged[[1, 2, 4]]) ** 2))
-    for i in (0, 3, 5, 6):
-        residual += float(gauged[i].imag ** 2 + min(gauged[i].real, 0.0) ** 2)
-    vals = np.abs(gauged[[3, 5, 6, 0, 7]])
-    a, b, c, d, h = (float(v) for v in vals / np.linalg.norm(vals))
-    return CanonicalParams(a, b, c, d, h, gamma), theta, residual
-
-
-def canonicalize(s: PureState, restarts: int = 32, seed=0) -> tuple[CanonicalParams, LocalUnitary]:
+def canonicalize(
+    s: PureState, restarts: int = _CANON_RESTARTS, seed=0
+) -> tuple[CanonicalParams, LocalUnitary]:
     """Find local unitaries taking a three-qubit state to its canonical form.
 
     Every stationary product state of the overlap with nonzero value yields a
@@ -587,7 +568,10 @@ def canonicalize(s: PureState, restarts: int = 32, seed=0) -> tuple[CanonicalPar
     ``seed`` (an integer >= 0), Newton-polishes the distinct branches within
     1e-6 of the best overlap as one batch, and among all representatives
     reaching a residual of 1e-9 returns the lexicographically largest
-    (d, h, a, b, c), breaking remaining ties toward gamma >= 0.
+    (d, h, a, b, c, gamma), each rounded to 9 decimals; a remaining tie goes
+    to the first branch in overlap order.  gamma lies in (-pi/2, pi/2] to
+    within 1e-12, on the pi/2 side: a value within 1e-12 of -pi/2 is returned
+    as pi/2, since adding pi to every qubit phase maps one onto the other.
 
     The returned unitaries map ``s`` onto ``canonical_to_state(params)``
     exactly (global phase included).  The random starts depend only on
@@ -603,8 +587,8 @@ def canonicalize(s: PureState, restarts: int = 32, seed=0) -> tuple[CanonicalPar
 
 def _canonicalize(tensors: np.ndarray, restarts: int, seed) -> list:
     """``canonicalize`` of every state of an (S, 2, 2, 2) batch, unvalidated, as
-    a list of (params, unitaries): one ALS over the batch and one polish of
-    the branches of every state."""
+    a list of (params, unitaries): one ALS over the batch, one polish and one
+    gauge fix of the branches of every state."""
     run = _als.power_iteration(tensors, restarts, _als.MAX_ITERATIONS, _als.TOL, seed)
     overlaps = run["g_squared"]  # (S, R)
     blochs = _als._bloch_from_spinors(np.stack(run["spinors"], axis=2))
@@ -621,26 +605,22 @@ def _canonicalize(tensors: np.ndarray, restarts: int, seed) -> list:
     state, run_index = state[first], run_index[first]
     psis = tensors[state]
     polished, _, _ = _als.polish_stationary(psis, [sp[state, run_index] for sp in run["spinors"]])
-    reps = [_canonical_rep(a) for a in _als._frame_amplitudes(psis.conj(), polished).conj()]
-
-    def sort_key(k):
-        p = reps[k][0]
-        return tuple(round(v, 9) for v in (p.d, p.h, p.a, p.b, p.c)) + (p.gamma,)
-
+    rows, theta, residual = _gauge_fix(_als._frame_amplitudes(psis.conj(), polished).conj())
+    # per state, the failing branches last, then descending (d, h, a, b, c, gamma);
+    # the stable sort keeps overlap order among ties
+    failing = ~(residual <= _CANON_RESIDUAL_TOL)
+    order = np.lexsort([*-np.round(rows[:, [5, 2, 1, 0, 4, 3]], 9).T, failing, state])
     out = []
-    for i in range(len(tensors)):
-        candidates = [k for k in np.flatnonzero(state == i) if reps[k][2] <= _CANON_RESIDUAL_TOL]
-        if not candidates:
+    for k in order[np.r_[True, np.diff(state[order]) != 0]]:
+        if failing[k]:
             raise CanonicalizationError(
                 f"no canonical representative reached residual {_CANON_RESIDUAL_TOL:g} "
                 f"after {restarts} restarts"
             )
-        k = max(candidates, key=sort_key)
-        params, theta, _ = reps[k]
         # frame rows (e^dagger, perp(e)^dagger), the gauge phase on each |1> row
         # and the global phase on qubit A
         mats = [np.diag([1.0, np.exp(1j * th)]) @ np.stack([e[k], _als._perp(e[k])]).conj()
-                for th, e in zip(theta[:3], polished)]
-        mats[0] = np.exp(1j * theta[3]) * mats[0]
-        out.append((params, LocalUnitary(tuple(mats))))
+                for th, e in zip(theta[k, :3], polished)]
+        mats[0] = np.exp(1j * theta[k, 3]) * mats[0]
+        out.append((CanonicalParams(*rows[k].tolist()), LocalUnitary(tuple(mats))))
     return out

@@ -25,7 +25,7 @@ from entgeo import (
 )
 from entgeo import _als
 from entgeo._als import haar_bloch_spinors
-from entgeo.states import _canonicalize
+from entgeo.states import _GAUGE_BITS, _canonicalize, _gauge_fix
 
 SQ2 = math.sqrt(2.0)
 
@@ -201,10 +201,18 @@ class TestContracts:
         # a criterion-8 sample whose overlap solve stalls in its first pass
         rng = np.random.default_rng(7)
         states.append([random_feasible_quadrilateral(rng) for _ in range(118)][117].to_state())
+        checked = len(states)
+        # at scale: Haar states and LU-rotated GHZ, W, basis and product states
+        states += [haar_random_state(3, seed=3000 + k) for k in range(600)]
+        for k in range(100):
+            product = ProductState(tuple(haar_bloch_spinors(rng, (3,)))).amplitudes()
+            for s in (ghz_state(3), w_state(3), basis_state(3, k % 8), make_state(3, product)):
+                states.append(apply_local_unitary(s, LocalUnitary.random(3, seed=rng)))
         batch = _canonicalize(np.stack([s.tensor for s in states]), 32, 0)
-        assert len(batch) == len(states)
-        for s, (params, lu) in zip(states, batch):
-            alone, alone_lu = canonicalize(s)
+        assert len(batch) == len(states) >= 1000
+        for i in [*range(checked), *range(checked, len(states), 40)]:
+            alone, alone_lu = canonicalize(states[i])
+            params, lu = batch[i]
             assert params == alone
             for m, m_alone in zip(lu.matrices, alone_lu.matrices):
                 assert np.array_equal(m, m_alone)
@@ -225,3 +233,46 @@ class TestContracts:
             s = haar_random_state(3, seed=100 + seed)
             p, _ = canonicalize(s, seed=seed)
             assert three_tangle_canonical(p) == pytest.approx(three_tangle(s), abs=1e-8)
+
+
+class TestGaugeFix:
+    @pytest.mark.parametrize("pattern", range(16))
+    def test_vanishing_amplitudes(self, pattern):
+        # frame amplitudes of a stationary branch: 1, 2 and 4 vanish; bit j of
+        # ``pattern`` zeroes amplitude (3, 5, 6, 7)[j]
+        rng = np.random.default_rng(pattern)
+        amps = rng.normal(size=(40, 8)) + 1j * rng.normal(size=(40, 8))
+        amps[:, [1, 2, 4]] = 0.0
+        vanishing = [i for j, i in enumerate((3, 5, 6, 7)) if pattern >> j & 1]
+        amps[:, vanishing] = 0.0
+        rows, theta, residual = _gauge_fix(amps)
+        gauged = amps * np.exp(1j * theta @ _GAUGE_BITS.T)
+        fixed = gauged[:, [0, 3, 5, 6]]
+        assert np.abs(fixed.imag).max() < 1e-12 and fixed.real.min() > -1e-12
+        assert residual.max() < 1e-20
+        vals = np.abs(amps[:, [3, 5, 6, 0, 7]])
+        assert np.allclose(rows[:, :5], vals / np.linalg.norm(vals, axis=1, keepdims=True),
+                           rtol=0, atol=1e-15)
+        gamma = rows[:, 5]
+        assert gamma.min() > -math.pi / 2 and gamma.max() <= math.pi / 2 + 1e-12
+        if 7 in vanishing:
+            assert np.all(gamma == 0.0)
+            return
+        # gamma is the phase of amplitude 7, and zero when any of 3, 5, 6
+        # vanishes, since the gauge freedom left over is spent on it
+        assert np.allclose(np.exp(1j * gamma), gauged[:, 7] / np.abs(gauged[:, 7]), atol=1e-12)
+        if vanishing:
+            assert np.all(gamma == 0.0)
+
+    @pytest.mark.parametrize("phase, gamma", [
+        (-math.pi / 2 - 5e-13, math.pi / 2 - 5e-13),
+        (-math.pi / 2, math.pi / 2),
+        (-math.pi / 2 + 5e-13, math.pi / 2 + 5e-13),
+        (math.pi / 2 + 5e-13, math.pi / 2 + 5e-13),
+    ])
+    def test_gamma_near_the_fold_lands_on_the_half_pi_side(self, phase, gamma):
+        amps = np.array([[0.5, 0, 0, 0.4, 0, 0.3, 0.2, 0.6 * np.exp(1j * phase)]])
+        rows, theta, _ = _gauge_fix(amps)
+        assert rows[0, 5] == pytest.approx(gamma, rel=0, abs=1e-15)
+        gauged = amps * np.exp(1j * theta @ _GAUGE_BITS.T)
+        assert np.angle(gauged[0, 7]) == pytest.approx(gamma, rel=0, abs=1e-12)

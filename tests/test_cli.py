@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import inspect
 import json
 import math
 import warnings
@@ -8,7 +9,9 @@ import pytest
 
 from entgeo import (
     SolverConfig,
+    canonicalize,
     cli,
+    closedform,
     ghz_state,
     ghz_theta_state,
     nearest_product_state,
@@ -16,7 +19,7 @@ from entgeo import (
     state_from_dict,
 )
 from entgeo.cli import main
-from entgeo.closedform import _THEOREM_SOLVER
+from entgeo.closedform import _EXAMPLE_SOLVER, _THEOREM_SOLVER
 
 
 def run_cli(capsys, *argv):
@@ -339,3 +342,36 @@ class TestParserReuse:
         assert cli._parser.cache_info().misses == 1
         assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 0, 2]
         assert reused == fresh
+
+
+class TestParserDefaults:
+    def test_restarts_are_the_library_defaults(self):
+        parser = cli.build_parser()
+
+        def restarts(*argv):
+            return parser.parse_args(list(argv)).restarts
+
+        assert restarts("overlap") == SolverConfig().restarts
+        library = inspect.signature(canonicalize).parameters["restarts"].default
+        assert restarts("canonicalize") == library
+        assert restarts("verify-theorem") == _THEOREM_SOLVER.restarts
+        assert restarts("inverse-search") == _EXAMPLE_SOLVER.restarts
+        assert restarts("demo", "--name", "wn") == _EXAMPLE_SOLVER.restarts
+
+    def test_example_budget_is_the_search_and_wn_default(self, monkeypatch):
+        budgets = []
+
+        class Recorded(Exception):
+            pass
+
+        def record(state, cfg, *_):
+            budgets.append(cfg)
+            raise Recorded
+
+        monkeypatch.setattr(closedform, "_solve_overlaps", record)
+        monkeypatch.setattr(closedform, "nearest_product_state", record)
+        with pytest.raises(Recorded):
+            closedform.inverse_search(0)
+        with pytest.raises(Recorded):
+            closedform.wn_overlap([0.6, 0.8])
+        assert budgets == [_EXAMPLE_SOLVER, _EXAMPLE_SOLVER]
