@@ -5,10 +5,10 @@ canonical-form search (ALS/HOPM, De Lathauwer, De Moor and Vandewalle, SIAM J.
 Matrix Anal. Appl. 21, 2000): cycling over qubits, each local spinor is
 replaced by the normalized contraction of the state against all other current
 spinors, which is monotonically non-decreasing in the overlap.  Each
-contraction is a chain of two-term products, one qubit axis at a time, on
-right environments cached once per sweep.  Many independent restarts (and
-many independent states) are iterated simultaneously as one flat batch; a
-restart freezes once its squared overlap changes by less than ``tol`` in a
+contraction is a chain of stacked ``matmul`` calls, one qubit axis at a time,
+on right environments cached once per sweep.  Many independent restarts (and
+states) are iterated as one flat batch, their spinors one (n, rows, 2) block;
+a restart freezes once its squared overlap changes by less than ``tol`` in a
 full sweep, or once another run of its state freezes at the state's gate.
 """
 
@@ -51,8 +51,8 @@ def haar_bloch_spinors(rng: np.random.Generator, shape) -> np.ndarray:
     return _spinors_from_bloch(z, rng.uniform(0.0, 2.0 * np.pi, size=shape))
 
 
-def _initial_spinors(psis: np.ndarray, restarts: int, seed) -> list[np.ndarray]:
-    """Per-qubit start batches of shape (S, restarts + 1, 2).
+def _initial_spinors(psis: np.ndarray, restarts: int, seed) -> np.ndarray:
+    """Start block of shape (n, S, restarts + 1, 2), qubit first.
 
     The first ``restarts`` columns are Haar-random, drawn once as one
     (n, restarts) block from a generator seeded with ``seed`` and shared by
@@ -68,7 +68,7 @@ def _initial_spinors(psis: np.ndarray, restarts: int, seed) -> list[np.ndarray]:
     flat_index = np.argmax(np.abs(psis.reshape(n_states, -1)), axis=1)
     bits = (flat_index >> (n - 1 - np.arange(n))[:, None]) & 1
     spinors[np.arange(n)[:, None], np.arange(n_states), -1, bits] = 1.0
-    return list(spinors)
+    return spinors
 
 
 def power_iteration(
@@ -80,6 +80,10 @@ def power_iteration(
     stop_at=None,
 ):
     """Run the alternating update for a batch of states.
+
+    Each sweep caches the right environments with one stacked ``matmul`` per
+    trailing axis and reaches qubit q through q more on the leading axes; a
+    run whose contraction vanishes exactly keeps its spinor.
 
     Parameters
     ----------
@@ -97,7 +101,7 @@ def power_iteration(
 
     Returns
     -------
-    dict with ``g_squared`` (S, R), ``spinors`` (list of n arrays (S, R, 2)),
+    dict with ``g_squared`` (S, R), ``spinors`` (an (n, S, R, 2) block),
     ``iterations`` (S, R), ``converged`` (S, R), false only for the runs
     stopped by the sweep cap, and ``gated`` (S,), true for the states the gate
     stopped.
@@ -105,10 +109,8 @@ def power_iteration(
     n = psis.ndim - 1
     n_states = psis.shape[0]
     n_runs = restarts + 1
-    spinors = _initial_spinors(psis, restarts, seed)
-
     total = n_states * n_runs
-    cur = [s.reshape(total, 2).copy() for s in spinors]
+    cur = _initial_spinors(psis, restarts, seed).reshape(n, total, 2)
     cur_psi = np.repeat(psis.conj().reshape(n_states, 1, -1), n_runs, axis=1).reshape(total, -1)
     cur_g2 = np.zeros(total)
     index = np.arange(total)
@@ -116,24 +118,28 @@ def power_iteration(
     out_g2 = np.zeros(total)
     out_conv = np.zeros(total, dtype=bool)
     out_iters = np.zeros(total, dtype=int)
-    out_sp = [np.empty((total, 2), dtype=complex) for _ in range(n)]
+    out_sp = np.empty((n, total, 2), dtype=complex)
     gated = np.zeros(n_states, dtype=bool)
     cur_stop = None if stop_at is None else np.repeat(stop_at, n_runs)
 
     for sweep in range(1, max_iterations + 1):
         rows = index.size
-        # right[q]: conj(psi) contracted with the spinors of qubits q+1..n-1, (rows, 2**(q+1))
+        # right[q]: conj(psi) with the spinors of qubits q+1..n-1 on its trailing axes
         right = [None] * (n - 1) + [cur_psi]
         for q in range(n - 1, 0, -1):
-            right[q - 1] = np.einsum("tmi,ti->tm", right[q].reshape(rows, -1, 2), cur[q])
-        norm = None
+            right[q - 1] = right[q].reshape(rows, -1, 2) @ cur[q, :, :, None]
         for q in range(n):
             v = right[q]
-            for k in range(q):  # the spinors of qubits 0..q-1 are already updated
-                v = np.einsum("tim,ti->tm", v.reshape(rows, 2, -1), cur[k])
-            norm = np.linalg.norm(v, axis=-1)
-            safe = norm > 1e-300
-            cur[q] = np.where(safe[:, None], v.conj() / np.where(safe, norm, 1.0)[:, None], cur[q])
+            for k in range(q):  # the leading axes, with qubits 0..q-1 already updated
+                v = cur[k, :, None, :] @ v.reshape(rows, 2, -1)
+            v = v.reshape(rows, 2)
+            vc = v.conj()
+            norm = np.sqrt(np.einsum("ti,ti->t", vc, v).real)
+            if norm.min() > 1e-300:
+                np.divide(vc, norm[:, None], out=cur[q])
+            else:  # a run whose contraction vanishes keeps its spinor
+                safe = norm > 1e-300
+                cur[q, safe] = vc[safe] / norm[safe, None]
         new_g2 = norm**2
         conv = np.abs(new_g2 - cur_g2) < tol
         cur_g2 = new_g2
@@ -149,21 +155,20 @@ def power_iteration(
             out_g2[frozen] = cur_g2[done]
             out_conv[frozen] = conv[done]
             out_iters[frozen] = sweep
-            for q in range(n):
-                out_sp[q][frozen] = cur[q][done]
+            out_sp[:, frozen] = cur[:, done]
             keep = ~done
             if not keep.any():
                 break
             index = index[keep]
             cur_psi = cur_psi[keep]
-            cur = [c[keep] for c in cur]
+            cur = cur[:, keep]
             cur_g2 = cur_g2[keep]
             if cur_stop is not None:
                 cur_stop = cur_stop[keep]
 
     return {
         "g_squared": out_g2.reshape(n_states, n_runs),
-        "spinors": [s.reshape(n_states, n_runs, 2) for s in out_sp],
+        "spinors": out_sp.reshape(n, n_states, n_runs, 2),
         "iterations": out_iters.reshape(n_states, n_runs),
         "converged": out_conv.reshape(n_states, n_runs),
         "gated": gated,
@@ -176,24 +181,25 @@ def _perp(e: np.ndarray) -> np.ndarray:
     return e[..., ::-1].conj() * _PERP_SIGNS
 
 
-def _frame_amplitudes(psi_conj: np.ndarray, spinors: list[np.ndarray]) -> np.ndarray:
+def _frame_amplitudes(psi_conj: np.ndarray, spinors) -> np.ndarray:
     """Conjugated amplitudes (S, 2**n) of states in their product frames.
 
     ``psi_conj`` is an (S, 2, ..., 2) batch of conjugated states and
-    ``spinors`` n arrays (S, 2).  Qubit q of row s is read in the basis
-    (e, perp(e)) of its spinor e = spinors[q][s], bit 0 picking e; entry 0 is
+    ``spinors`` an (n, S, 2) block.  Qubit q of row s is read in the basis
+    (e, perp(e)) of its spinor e = spinors[q, s], bit 0 picking e; entry 0 is
     the overlap <psi | e_0 ... e_{n-1}>.
     """
     n_states, n = psi_conj.shape[0], psi_conj.ndim - 1
     shape = (n_states, 2, 2 ** (n - 1))
+    spinors = np.asarray(spinors)
     t = psi_conj.reshape(shape)
-    for e in spinors:
-        # basis (e, perp(e)) on the leading qubit, its index appended last
-        t = (t.transpose(0, 2, 1) @ np.stack([e, _perp(e)], axis=-1)).reshape(shape)
+    for frame in np.stack([spinors, _perp(spinors)], axis=-1):  # (e, perp(e)) per qubit
+        # on the leading qubit, its index appended last
+        t = (t.transpose(0, 2, 1) @ frame).reshape(shape)
     return t.reshape(n_states, -1)
 
 
-def _cross_amplitudes(psi_conj: np.ndarray, spinors: list[np.ndarray]):
+def _cross_amplitudes(psi_conj: np.ndarray, spinors):
     """Frame amplitudes with one or two spinors replaced by their complements.
 
     Returns the symmetric (S, n, n) matrices C and the (S,) overlaps g.
@@ -222,18 +228,18 @@ def _newton_jacobian(cross: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.concatenate([cols.real, cols.imag], axis=1)
 
 
-def polish_stationary(psis: np.ndarray, spinors: list[np.ndarray]):
+def polish_stationary(psis: np.ndarray, spinors):
     """Newton-refine near-stationary product states to machine precision.
 
-    ``psis`` is an (S, 2, ..., 2) batch and ``spinors`` n arrays (S, 2).  Each
-    spinor moves along its orthogonal complement, e -> normalize(e + t *
+    ``psis`` is an (S, 2, ..., 2) batch and ``spinors`` an (n, S, 2) block.
+    Each spinor moves along its orthogonal complement, e -> normalize(e + t *
     e_perp) with one complex t per qubit, and the n complex residuals C[q, q]
     of every row are driven to zero by one batched solve per step.  A row
     stops at its first step that does not improve, below 1e-15, or when its
-    Jacobian is singular, keeping its best spinors.  Returns (spinors,
-    residual norms (S,), squared overlaps (S,)) of the best point of each row.
+    Jacobian is singular, keeping its best spinors.  Returns the best point
+    of each row: (spinors (n, S, 2), residual norms (S,), squared overlaps (S,)).
     """
-    cur = best = [np.array(e, dtype=complex) for e in spinors]
+    cur = best = np.array(spinors, dtype=complex)
     best_res, best_g2 = np.full(len(psis), np.inf), np.zeros(len(psis))
     rows, psi_conj = np.arange(len(psis)), psis.conj()
     for step in range(_POLISH_STEPS + 1):
@@ -242,8 +248,7 @@ def polish_stationary(psis: np.ndarray, spinors: list[np.ndarray]):
         res = np.linalg.norm(f, axis=1)
         better = res < best_res[rows]
         won = rows[better]
-        for b, c in zip(best, cur):
-            b[won] = c[better]
+        best[:, won] = cur[:, better]
         best_res[won], best_g2[won] = res[better], np.abs(g[better]) ** 2
         keep = better & (res >= 1e-15)
         rows, psi_conj, cross, g, f = rows[keep], psi_conj[keep], cross[keep], g[keep], f[keep]
@@ -259,6 +264,7 @@ def polish_stationary(psis: np.ndarray, spinors: list[np.ndarray]):
             jac[singular], rhs[singular] = np.eye(jac.shape[1]), 0.0
             t = np.linalg.solve(jac, rhs)
         t = t[:, 0::2, 0] + 1j * t[:, 1::2, 0]
-        moved = [e + t[:, q, None] * _perp(e) for q, e in enumerate(c[keep] for c in cur)]
-        cur = [m / np.linalg.norm(m, axis=1, keepdims=True) for m in moved]
+        cur = cur[:, keep]
+        moved = cur + t.T[:, :, None] * _perp(cur)
+        cur = moved / np.linalg.norm(moved, axis=-1, keepdims=True)
     return best, best_res, best_g2

@@ -162,9 +162,7 @@ def _best_polished(tensors: np.ndarray, cfg: SolverConfig, tol: float, stop_at=N
                                stop_at=stop_at)
     rows = np.arange(tensors.shape[0])
     best = np.argmax(run["g_squared"], axis=1)
-    spinors, residual, g_squared = _als.polish_stationary(
-        tensors, [sp[rows, best] for sp in run["spinors"]]
-    )
+    spinors, residual, g_squared = _als.polish_stationary(tensors, run["spinors"][:, rows, best])
     return g_squared, spinors, residual, run["iterations"][rows, best], run["gated"]
 
 
@@ -181,7 +179,7 @@ def _solve_overlaps(tensors: np.ndarray, cfg: SolverConfig, suspect=None):
     value ``suspect(g2)`` flags, are re-solved once, as one ungated batch,
     with ``cfg.escalated()`` frozen at ``cfg.tol``, and polished again.
 
-    Returns (g_squared (S,), spinors as n arrays (S, 2), residual (S,),
+    Returns (g_squared (S,), spinors as one (n, S, 2) block, residual (S,),
     sweeps (S,), number of re-solved states, upper (S,)); sweeps are those of
     the best ALS run of the pass that answered each state, the rest is after
     its polish.

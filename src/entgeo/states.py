@@ -591,7 +591,7 @@ def _canonicalize(tensors: np.ndarray, restarts: int, seed) -> list:
     gauge fix of the branches of every state."""
     run = _als.power_iteration(tensors, restarts, _als.MAX_ITERATIONS, _als.TOL, seed)
     overlaps = run["g_squared"]  # (S, R)
-    blochs = _als._bloch_from_spinors(np.stack(run["spinors"], axis=2))
+    blochs = _als._bloch_from_spinors(run["spinors"].transpose(1, 2, 0, 3))
     blochs = blochs.reshape(*overlaps.shape, -1)
     # only branches tied with a state's best overlap can win its (d, ...) tie-break,
     # since d equals the overlap at the branch's stationary point
@@ -604,7 +604,7 @@ def _canonicalize(tensors: np.ndarray, restarts: int, seed) -> list:
     first = np.sort(np.unique(keys, axis=0, return_index=True)[1])
     state, run_index = state[first], run_index[first]
     psis = tensors[state]
-    polished, _, _ = _als.polish_stationary(psis, [sp[state, run_index] for sp in run["spinors"]])
+    polished, _, _ = _als.polish_stationary(psis, run["spinors"][:, state, run_index])
     rows, theta, residual = _gauge_fix(_als._frame_amplitudes(psis.conj(), polished).conj())
     # per state, the failing branches last, then descending (d, h, a, b, c, gamma);
     # the stable sort keeps overlap order among ties

@@ -407,25 +407,74 @@ def _einsum_run(psi_conj, spinors, max_iterations, tol):
 class TestSweepKernel:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_sweeps_match_einsum_formula(self, n):
+        # at tol 1e-6 the runs freeze at their own sweeps, so the caps up to 40
+        # check the stacked write-out and compaction row by row
         states = [haar_random_state(n, seed=10 * n + k) for k in range(3)]
         states.append(apply_local_unitary(ghz_state(n), LocalUnitary.random(n, seed=n)))
         states.append(w_state(n))
         states.append(basis_state(n, 2**n - 2))
         psis = np.stack([s.tensor for s in states])
-        restarts, seed = 3, 7
+        restarts, seed, tol = 3, 7, 1e-6
         starts = _als._initial_spinors(psis, restarts, seed)
-        for sweeps in (1, 3):
-            run = _als.power_iteration(psis, restarts, sweeps, 1e-13, seed)
-            for i in range(len(states)):
-                for r in range(restarts + 1):
-                    g2, spinors, iters, conv = _einsum_run(
-                        psis[i].conj(), [sp[i, r] for sp in starts], sweeps, 1e-13
-                    )
-                    assert run["g_squared"][i, r] == pytest.approx(g2, abs=1e-13)
-                    for q in range(n):
-                        assert np.abs(run["spinors"][q][i, r] - spinors[q]).max() <= 1e-13
-                    assert run["iterations"][i, r] == iters
-                    assert run["converged"][i, r] == conv
+        # even states are gated at their first freezing run, odd ones never
+        stop_at = np.where(np.arange(len(states)) % 2 == 0, 0.0, np.inf)
+
+        def einsum_runs(i, sweeps):
+            return [_einsum_run(psis[i].conj(), starts[:, i, r], sweeps, tol)
+                    for r in range(restarts + 1)]
+
+        for sweeps in (1, 3, 10, 40):
+            free = [einsum_runs(i, sweeps) for i in range(len(states))]
+            for gate in (None, stop_at):
+                run = _als.power_iteration(psis, restarts, sweeps, tol, seed, stop_at=gate)
+                for i, own in enumerate(free):
+                    fired = [] if gate is None else [it for g2, _, it, _ in own if g2 >= gate[i]]
+                    assert run["gated"][i] == bool(fired)
+                    # a gated state's runs all stop, converged, at its first hit
+                    expect = own if not fired else [
+                        (g2, spinors, iters, True)
+                        for g2, spinors, iters, _ in einsum_runs(i, min(fired))
+                    ]
+                    for r, (g2, spinors, iters, conv) in enumerate(expect):
+                        assert run["g_squared"][i, r] == pytest.approx(g2, abs=1e-13)
+                        for q in range(n):
+                            assert np.abs(run["spinors"][q][i, r] - spinors[q]).max() <= 1e-13
+                        assert run["iterations"][i, r] == iters
+                        assert run["converged"][i, r] == conv
+        # under the last cap the free runs froze at many different sweeps
+        assert len({iters for own in free for _, _, iters, _ in own}) >= 3
+
+    def test_vanishing_contraction_keeps_the_spinor(self, monkeypatch):
+        # |000> started at |1>|1>|0>: every contraction of sweep 1 is exactly 0; at
+        # |0>|1>|0> only qubit 0's is, and qubit 1 then moves to |0>
+        zero = basis_state(3, 0).tensor
+        haar = np.stack([haar_random_state(3, seed=seed).tensor for seed in (1, 2)])
+        psis = np.stack([haar[0], zero, haar[1]])
+        orthogonal = np.array([[[0, 1], [1, 0]], [[0, 1], [0, 1]], [[1, 0], [1, 0]]])
+        initial = _als._initial_spinors
+
+        def orthogonal_starts(psis, restarts, seed):
+            starts = initial(psis, restarts, seed)
+            for s in np.flatnonzero(np.all(psis.reshape(len(psis), -1) == zero.reshape(-1), 1)):
+                starts[:, s, :2] = orthogonal
+            return starts
+
+        monkeypatch.setattr(_als, "_initial_spinors", orthogonal_starts)
+        restarts, seed = 4, 3
+        run = _als.power_iteration(psis, restarts, 500, 1e-13, seed)
+        assert np.all(np.isfinite(run["spinors"])) and np.all(np.isfinite(run["g_squared"]))
+        assert np.abs(np.linalg.norm(run["spinors"], axis=-1) - 1.0).max() <= 1e-15
+        assert run["g_squared"][1, 0] == 0.0 and run["iterations"][1, 0] == 1
+        assert run["converged"][1, 0]
+        assert np.array_equal(run["spinors"][:, 1, 0], orthogonal[:, 0])
+        assert run["g_squared"][1, 1] == 1.0 and run["iterations"][1, 1] == 2
+        assert np.array_equal(np.abs(run["spinors"][:, 1, 1]), [[1, 0]] * 3)
+        # the batch-mates run exactly as they do alone
+        for i in (0, 2):
+            alone = _als.power_iteration(psis[i : i + 1], restarts, 500, 1e-13, seed)
+            for key in ("g_squared", "iterations", "converged"):
+                assert np.array_equal(run[key][i], alone[key][0])
+            assert np.array_equal(run["spinors"][:, i], alone["spinors"][:, 0])
 
     def test_initial_spinors(self):
         states = [haar_random_state(4, seed=k) for k in range(3)] + [basis_state(4, 11)]
