@@ -82,8 +82,9 @@ def power_iteration(
     """Run the alternating update for a batch of states.
 
     Each sweep caches the right environments with one stacked ``matmul`` per
-    trailing axis and reaches qubit q through q more on the leading axes; a
-    run whose contraction vanishes exactly keeps its spinor.
+    trailing axis and reaches qubit q through q more on the leading axes.
+    Each update is normalised on the real view of its two amplitudes; a run
+    whose contraction vanishes exactly keeps its spinor.
 
     Parameters
     ----------
@@ -132,14 +133,11 @@ def power_iteration(
             v = right[q]
             for k in range(q):  # the leading axes, with qubits 0..q-1 already updated
                 v = cur[k, :, None, :] @ v.reshape(rows, 2, -1)
-            v = v.reshape(rows, 2)
-            vc = v.conj()
-            norm = np.sqrt(np.einsum("ti,ti->t", vc, v).real)
-            if norm.min() > 1e-300:
-                np.divide(vc, norm[:, None], out=cur[q])
-            else:  # a run whose contraction vanishes keeps its spinor
-                safe = norm > 1e-300
-                cur[q, safe] = vc[safe] / norm[safe, None]
+            # conj(v) / |v| as reals, without casting |v| to complex; a run whose
+            # contraction vanishes keeps its spinor
+            vc = v.conj().view(float).reshape(rows, 4)
+            norm = np.sqrt(np.einsum("ti,ti->t", vc, vc))
+            np.divide(vc, norm[:, None], out=cur[q].view(float), where=(norm > 1e-300)[:, None])
         new_g2 = norm**2
         conv = np.abs(new_g2 - cur_g2) < tol
         cur_g2 = new_g2
@@ -155,13 +153,14 @@ def power_iteration(
             out_g2[frozen] = cur_g2[done]
             out_conv[frozen] = conv[done]
             out_iters[frozen] = sweep
-            out_sp[:, frozen] = cur[:, done]
+            # compress: a boolean index on a later axis takes numpy's slow path
+            out_sp[:, frozen] = cur.compress(done, axis=1)
             keep = ~done
             if not keep.any():
                 break
             index = index[keep]
-            cur_psi = cur_psi[keep]
-            cur = cur[:, keep]
+            cur_psi = cur_psi.compress(keep, axis=0)
+            cur = cur.compress(keep, axis=1)
             cur_g2 = cur_g2[keep]
             if cur_stop is not None:
                 cur_stop = cur_stop[keep]

@@ -407,41 +407,45 @@ def _einsum_run(psi_conj, spinors, max_iterations, tol):
 class TestSweepKernel:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_sweeps_match_einsum_formula(self, n):
-        # at tol 1e-6 the runs freeze at their own sweeps, so the caps up to 40
-        # check the stacked write-out and compaction row by row
         states = [haar_random_state(n, seed=10 * n + k) for k in range(3)]
         states.append(apply_local_unitary(ghz_state(n), LocalUnitary.random(n, seed=n)))
         states.append(w_state(n))
         states.append(basis_state(n, 2**n - 2))
         psis = np.stack([s.tensor for s in states])
-        restarts, seed, tol = 3, 7, 1e-6
+        restarts, seed = 3, 7
         starts = _als._initial_spinors(psis, restarts, seed)
         # even states are gated at their first freezing run, odd ones never
         stop_at = np.where(np.arange(len(states)) % 2 == 0, 0.0, np.inf)
 
-        def einsum_runs(i, sweeps):
+        def einsum_runs(i, sweeps, tol):
             return [_einsum_run(psis[i].conj(), starts[:, i, r], sweeps, tol)
                     for r in range(restarts + 1)]
 
-        for sweeps in (1, 3, 10, 40):
-            free = [einsum_runs(i, sweeps) for i in range(len(states))]
-            for gate in (None, stop_at):
-                run = _als.power_iteration(psis, restarts, sweeps, tol, seed, stop_at=gate)
-                for i, own in enumerate(free):
-                    fired = [] if gate is None else [it for g2, _, it, _ in own if g2 >= gate[i]]
-                    assert run["gated"][i] == bool(fired)
-                    # a gated state's runs all stop, converged, at its first hit
-                    expect = own if not fired else [
-                        (g2, spinors, iters, True)
-                        for g2, spinors, iters, _ in einsum_runs(i, min(fired))
-                    ]
-                    for r, (g2, spinors, iters, conv) in enumerate(expect):
-                        assert run["g_squared"][i, r] == pytest.approx(g2, abs=1e-13)
-                        for q in range(n):
-                            assert np.abs(run["spinors"][q][i, r] - spinors[q]).max() <= 1e-13
-                        assert run["iterations"][i, r] == iters
-                        assert run["converged"][i, r] == conv
-        # under the last cap the free runs froze at many different sweeps
+        # 1e-13 is the freeze tolerance of canonicalize; at 1e-6 the runs freeze at
+        # their own sweeps, so the caps up to 40 check the stacked write-out and
+        # compaction row by row
+        for tol, caps in ((1e-13, (1, 3)), (1e-6, (1, 3, 10, 40))):
+            for sweeps in caps:
+                free = [einsum_runs(i, sweeps, tol) for i in range(len(states))]
+                for gate in (None, stop_at):
+                    run = _als.power_iteration(psis, restarts, sweeps, tol, seed, stop_at=gate)
+                    for i, own in enumerate(free):
+                        fired = [] if gate is None else [
+                            it for g2, _, it, _ in own if g2 >= gate[i]
+                        ]
+                        assert run["gated"][i] == bool(fired)
+                        # a gated state's runs all stop, converged, at its first hit
+                        expect = own if not fired else [
+                            (g2, spinors, iters, True)
+                            for g2, spinors, iters, _ in einsum_runs(i, min(fired), tol)
+                        ]
+                        for r, (g2, spinors, iters, conv) in enumerate(expect):
+                            assert run["g_squared"][i, r] == pytest.approx(g2, abs=1e-13)
+                            for q in range(n):
+                                assert np.abs(run["spinors"][q][i, r] - spinors[q]).max() <= 1e-13
+                            assert run["iterations"][i, r] == iters
+                            assert run["converged"][i, r] == conv
+        # under the last 1e-6 cap the free runs froze at many different sweeps
         assert len({iters for own in free for _, _, iters, _ in own}) >= 3
 
     def test_vanishing_contraction_keeps_the_spinor(self, monkeypatch):
