@@ -9,14 +9,17 @@ contraction is a chain of stacked ``matmul`` calls, one qubit axis at a time,
 on right environments cached once per sweep.  Many independent restarts (and
 states) are iterated as one flat batch, their spinors one (n, rows, 2) block;
 a restart freezes once its squared overlap changes by less than ``tol`` in a
-full sweep, or once another run of its state freezes at the state's gate.
+full sweep, or once another run of its state freezes at the state's gate.  A
+gated pass also stops, unconverged, each run that from sweep ``COARSE_SWEEPS``
+on lies below a frozen run of its own state; such a run, like one stopped by
+the sweep cap, reports ``converged`` false.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# default sweep cap and per-sweep freeze tolerance of every ALS solve
+# default sweep cap of every ALS solve, and the overlap solver's default freeze tolerance
 MAX_ITERATIONS = 500
 TOL = 1e-13
 # the overlap solve freezes its first pass at no tighter than COARSE_TOL; a polish that
@@ -27,6 +30,8 @@ POLISHED_RESIDUAL = 1e-10
 # the state's cut bound; the bracket counts as closed within CLOSED_GAP after the polish
 GATE_MARGIN = 1e-5
 CLOSED_GAP = 1e-10
+# and, from sweep COARSE_SWEEPS on, each run that is below a frozen run of its own state
+COARSE_SWEEPS = 40
 
 _POLISH_STEPS = 12
 _PERP_SIGNS = np.array([-1.0, 1.0])
@@ -97,15 +102,20 @@ def power_iteration(
     seed : anything acceptable to ``numpy.random.default_rng``.
     stop_at : optional (S,) gate values.  At the first sweep where one of
         state s's own runs freezes with a squared overlap >= stop_at[s], all
-        of that state's runs freeze where they are.  The gate reads only the
-        state's own runs, so a state's output does not depend on its batch.
+        of that state's runs freeze where they are.  A gated call also stops
+        every run that, at a sweep >= ``COARSE_SWEEPS``, lies below the best
+        run of its state frozen in an earlier sweep; such a run rarely
+        overtakes it, and only each state's best run is polished.  Both rules
+        read only the state's own runs, so a state's output does not depend on
+        its batch.
 
     Returns
     -------
     dict with ``g_squared`` (S, R), ``spinors`` (an (n, S, R, 2) block),
     ``iterations`` (S, R), ``converged`` (S, R), false only for the runs
-    stopped by the sweep cap, and ``gated`` (S,), true for the states the gate
-    stopped.
+    stopped by the sweep cap or, in a gated call, below a frozen run of their
+    state from sweep ``COARSE_SWEEPS`` on, and ``gated`` (S,), true for the
+    states the gate stopped.
     """
     n = psis.ndim - 1
     n_states = psis.shape[0]
@@ -142,6 +152,10 @@ def power_iteration(
         conv = np.abs(new_g2 - cur_g2) < tol
         cur_g2 = new_g2
         done = conv if sweep < max_iterations else np.ones(index.size, dtype=bool)
+        if cur_stop is not None and sweep >= COARSE_SWEEPS:
+            # out_g2 holds the runs frozen in earlier sweeps and 0 for the live ones
+            best_frozen = out_g2.reshape(n_states, n_runs)[index // n_runs].max(axis=1)
+            done = done | (cur_g2 < best_frozen)
         if done.any():
             if cur_stop is not None:
                 hit = done & (cur_g2 >= cur_stop)

@@ -173,7 +173,9 @@ def _solve_overlaps(tensors: np.ndarray, cfg: SolverConfig, suspect=None):
     to find the basin, and the Newton polish of each state's best run finishes
     it quadratically.  Pass 1 is also gated by the one-qubit cut bound
     ``upper`` (``states._cut_bound``): a state's runs all stop once one of them
-    freezes within ``_als.GATE_MARGIN`` of its ``upper``.  The states whose
+    freezes within ``_als.GATE_MARGIN`` of its ``upper``.  From sweep
+    ``_als.COARSE_SWEEPS`` on, it also stops each run below a frozen run of
+    its own state, which would only be discarded.  The states whose
     polish stalls above ``_als.POLISHED_RESIDUAL``, whose gate fired but whose
     bracket ``upper - g2`` is still wider than ``_als.CLOSED_GAP``, or whose
     value ``suspect(g2)`` flags, are re-solved once, as one ungated batch,

@@ -518,6 +518,10 @@ _GAUGE_BITS = np.array([[i >> 2 & 1, i >> 1 & 1, i & 1, 1] for i in range(8)], d
 _ZERO_AMP = 1e-10
 _CANON_RESIDUAL_TOL = 1e-9
 _CANON_RESTARTS = 32
+# the branches polished: coarse runs within _BRANCH_FLOOR of the state's best,
+# one per cluster of Bloch vectors _BRANCH_RADIUS wide (max norm)
+_BRANCH_FLOOR = 1e-5
+_BRANCH_RADIUS = 1e-3
 
 
 def _gauge_fix(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -564,14 +568,17 @@ def canonicalize(
     Every stationary product state of the overlap with nonzero value yields a
     representative: the state read in the basis (e, perp(e)) of each qubit's
     spinor e.  The search runs ``restarts`` random starts (an integer >= 0)
-    plus one basis start under the default solver budget, seeded with
-    ``seed`` (an integer >= 0), Newton-polishes the distinct branches within
-    1e-6 of the best overlap as one batch, and among all representatives
-    reaching a residual of 1e-9 returns the lexicographically largest
-    (d, h, a, b, c, gamma), each rounded to 9 decimals; a remaining tie goes
-    to the first branch in overlap order.  gamma lies in (-pi/2, pi/2] to
-    within 1e-12, on the pi/2 side: a value within 1e-12 of -pi/2 is returned
-    as pi/2, since adding pi to every qubit phase maps one onto the other.
+    plus one basis start under the default sweep cap, frozen at
+    ``_als.COARSE_TOL`` and seeded with ``seed`` (an integer >= 0).  It keeps
+    the runs within 1e-5 of the best overlap, drops each run whose Bloch
+    vectors all lie within 1e-3 of an earlier run's in overlap order (the
+    same branch), Newton-polishes the remaining branches as one batch, and
+    among all representatives reaching a residual of 1e-9 returns the
+    lexicographically largest (d, h, a, b, c, gamma), each rounded to 9
+    decimals; a remaining tie goes to the first branch in overlap order.
+    gamma lies in (-pi/2, pi/2] to within 1e-12, on the pi/2 side: a value
+    within 1e-12 of -pi/2 is returned as pi/2, since adding pi to every qubit
+    phase maps one onto the other.
 
     The returned unitaries map ``s`` onto ``canonical_to_state(params)``
     exactly (global phase included).  The random starts depend only on
@@ -589,20 +596,24 @@ def _canonicalize(tensors: np.ndarray, restarts: int, seed) -> list:
     """``canonicalize`` of every state of an (S, 2, 2, 2) batch, unvalidated, as
     a list of (params, unitaries): one ALS over the batch, one polish and one
     gauge fix of the branches of every state."""
-    run = _als.power_iteration(tensors, restarts, _als.MAX_ITERATIONS, _als.TOL, seed)
-    overlaps = run["g_squared"]  # (S, R)
-    blochs = _als._bloch_from_spinors(run["spinors"].transpose(1, 2, 0, 3))
-    blochs = blochs.reshape(*overlaps.shape, -1)
+    run = _als.power_iteration(tensors, restarts, _als.MAX_ITERATIONS, _als.COARSE_TOL, seed)
+    order = np.argsort(-run["g_squared"], axis=1, kind="stable")
+    overlaps = np.take_along_axis(run["g_squared"], order, axis=1)  # (S, R), descending
     # only branches tied with a state's best overlap can win its (d, ...) tie-break,
     # since d equals the overlap at the branch's stationary point
-    order = np.argsort(-overlaps, axis=1, kind="stable")
-    floor = np.maximum(overlaps.max(axis=1) - 1e-6, 1e-12)
-    state, rank = np.nonzero(np.take_along_axis(overlaps, order, axis=1) >= floor[:, None])
+    live = overlaps >= np.maximum(overlaps[:, :1] - _BRANCH_FLOOR, 1e-12)
+    # a live run whose Bloch vectors all lie within _BRANCH_RADIUS of an earlier
+    # run's, in overlap order, is the same branch frozen at another point
+    n_states, n_runs = order.shape
+    blochs = _als._bloch_from_spinors(run["spinors"].transpose(1, 2, 0, 3))
+    blochs = np.take_along_axis(blochs.reshape(n_states, n_runs, -1), order[..., None], axis=1)
+    distance = np.zeros((n_states, n_runs, n_runs))
+    for comp in blochs.transpose(2, 0, 1):  # (S, R) per qubit and Bloch axis
+        np.maximum(distance, np.abs(comp[:, :, None] - comp[:, None, :]), out=distance)
+    earlier = np.tri(n_runs, k=-1, dtype=bool)  # [i, j]: run j before run i
+    repeat = (earlier & (distance < _BRANCH_RADIUS)).any(axis=2)
+    state, rank = np.nonzero(live & ~repeat)
     run_index = order[state, rank]
-    # one branch per (state, 6-decimal Bloch fingerprint), the first in overlap order
-    keys = np.column_stack([state, np.round(blochs[state, run_index], 6)])
-    first = np.sort(np.unique(keys, axis=0, return_index=True)[1])
-    state, run_index = state[first], run_index[first]
     psis = tensors[state]
     polished, _, _ = _als.polish_stationary(psis, run["spinors"][:, state, run_index])
     rows, theta, residual = _gauge_fix(_als._frame_amplitudes(psis.conj(), polished).conj())

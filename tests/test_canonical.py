@@ -9,7 +9,6 @@ from entgeo import (
     CanonicalParams,
     LocalUnitary,
     ProductState,
-    SolverConfig,
     apply_local_unitary,
     canonical_to_state,
     canonicalize,
@@ -164,7 +163,8 @@ class TestContracts:
 
         monkeypatch.setattr(_als, "power_iteration", recording)
         canonicalize(haar_random_state(3, seed=8))
-        assert calls == [(SolverConfig().max_iterations, SolverConfig().tol)]
+        # the branches are frozen coarse; the polish finishes each one
+        assert calls == [(_als.MAX_ITERATIONS, _als.COARSE_TOL)]
 
     def test_distinct_branches_polished_in_one_call(self, monkeypatch):
         calls = []
@@ -216,6 +216,19 @@ class TestContracts:
             assert params == alone
             for m, m_alone in zip(lu.matrices, alone_lu.matrices):
                 assert np.array_equal(m, m_alone)
+
+    def test_lu_w_copies_equal_scalar_calls(self):
+        # W's maximisers form a circle, so its runs freeze at many points of it
+        # and leave the most branches to deduplicate and polish
+        states = [apply_local_unitary(w_state(3), LocalUnitary.random(3, seed=200 + k))
+                  for k in range(12)]
+        batch = _canonicalize(np.stack([s.tensor for s in states]), 32, 0)
+        for s, (params, lu) in zip(states, batch):
+            alone, alone_lu = canonicalize(s)
+            assert params == alone
+            for m, m_alone in zip(lu.matrices, alone_lu.matrices):
+                assert np.array_equal(m, m_alone)
+            assert reconstruction_infidelity(s, params, lu) < 1e-8
 
     def test_basis_start_only(self):
         p, lu = canonicalize(ghz_state(3), restarts=0)

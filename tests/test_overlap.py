@@ -202,6 +202,73 @@ class TestSolverContracts:
         assert nearest_product_state(ghz_state(3), cfg).g_squared == pytest.approx(0.5, abs=1e-12)
 
 
+class TestDominanceStop:
+    """A gated ALS call stops each run that, from sweep ``_als.COARSE_SWEEPS``
+    on, lies below a run of its own state frozen in an earlier sweep."""
+
+    # Haar n = 6, seed 24, 16 restarts at seed 3, tol 1e-11: without the stop
+    # its runs freeze at these sweeps, three of them on the 0.1548 branch by
+    # sweep 36, and ten creep up to the best branch for 55..141 sweeps
+    SWEEPS = [58, 34, 61, 24, 65, 141, 65, 36, 58, 115, 134, 92, 29, 79, 93, 68, 55]
+
+    def test_dominated_runs_stop_from_coarse_sweeps(self):
+        psis = haar_random_state(6, seed=24).tensor[None]
+        cap = _als.COARSE_SWEEPS
+        free = _als.power_iteration(psis, 16, 500, 1e-11, 3)
+        run = _als.power_iteration(psis, 16, 500, 1e-11, 3, stop_at=np.array([np.inf]))
+        assert not run["gated"].any()
+        sweeps, conv, g2 = run["iterations"][0], run["converged"][0], run["g_squared"][0]
+        # a run that froze by itself did so exactly as in the free call
+        assert np.array_equal(sweeps[conv], free["iterations"][0][conv])
+        assert np.array_equal(g2[conv], free["g_squared"][0][conv])
+        # the others stopped at sweep COARSE_SWEEPS or later, where they were,
+        # each below a run frozen in an earlier sweep
+        stopped = np.flatnonzero(~conv)
+        assert stopped.size and sweeps[stopped].min() == cap
+        at_cap = stopped[sweeps[stopped] == cap]
+        capped = _als.power_iteration(psis, 16, cap, 1e-11, 3)
+        assert np.array_equal(g2[at_cap], capped["g_squared"][0, at_cap])
+        for k in stopped:
+            assert g2[k] < g2[conv & (sweeps < sweeps[k])].max()
+        # a run above every frozen run goes on past COARSE_SWEEPS to its freeze
+        assert np.any(conv & (sweeps > cap))
+        assert g2.max() == free["g_squared"][0].max()
+
+    def test_ungated_call_is_unchanged(self):
+        psis = haar_random_state(6, seed=24).tensor[None]
+        free = _als.power_iteration(psis, 16, 500, 1e-11, 3)
+        assert free["iterations"][0].tolist() == self.SWEEPS and free["converged"].all()
+        assert free["g_squared"].max() == pytest.approx(0.20052249352765697, abs=1e-15)
+        assert free["g_squared"].min() == pytest.approx(0.12550110916370885, abs=1e-15)
+        assert free["g_squared"][0, 9] == pytest.approx(0.1523936171074721, abs=1e-15)
+
+    def test_state_alone_equals_its_row_where_the_stop_fires(self):
+        # pass 1 of ``_solve_overlaps``: the Haar rows' stops fire, the LU-GHZ
+        # row stops at its cut-bound gate
+        states = [haar_random_state(6, seed=seed) for seed in (0, 5, 11, 24)]
+        states.insert(2, apply_local_unitary(ghz_state(6), LocalUnitary.random(6, seed=1)))
+        tensors = np.stack([s.tensor for s in states])
+        cfg = SolverConfig(restarts=16, seed=3)
+        stop_at = _cut_bound(tensors) - _als.GATE_MARGIN
+        run = _als.power_iteration(tensors, cfg.restarts, cfg.max_iterations, _als.COARSE_TOL,
+                                   cfg.seed, stop_at=stop_at)
+        stopped = ~run["converged"] & (run["iterations"] >= _als.COARSE_SWEEPS)
+        assert np.flatnonzero(stopped.any(axis=1)).tolist() == [0, 1, 3, 4]
+        assert np.flatnonzero(run["gated"]).tolist() == [2]
+        batch = _solve_overlaps(tensors, cfg)
+        assert batch[4] == 0
+        for i in range(len(states)):
+            one = _als.power_iteration(tensors[i : i + 1], cfg.restarts, cfg.max_iterations,
+                                       _als.COARSE_TOL, cfg.seed, stop_at=stop_at[i : i + 1])
+            for key in ("g_squared", "iterations", "converged", "gated"):
+                assert np.array_equal(run[key][i], one[key][0])
+            assert np.array_equal(run["spinors"][:, i], one["spinors"][:, 0])
+            alone = _solve_overlaps(tensors[i : i + 1], cfg)
+            for whole, part in zip((batch[0], *batch[1], *batch[2:4], batch[5]),
+                                   (alone[0], *alone[1], *alone[2:4], alone[5])):
+                assert np.array_equal(whole[i], part[0])
+
+
 class TestQuarterForm:
     def test_basis_state(self):
         s = basis_state(3, 0)
