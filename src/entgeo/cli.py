@@ -26,7 +26,7 @@ from .closedform import (
     run_theorem_campaign,
     wn_overlap,
 )
-from .invariants import bloch_vector, correlation_matrix, invariant_set
+from .invariants import _bloch_geometry, bloch_vector, invariant_set
 from .overlap import SolverConfig, _solve_overlaps, geometric_measure, nearest_product_state
 from .states import (
     CanonicalParams,
@@ -123,8 +123,8 @@ def _cmd_invariants(args) -> int:
             "(use the overlap command for other sizes)"
         )
     inv = invariant_set(state)
-    blochs = [bloch_vector(state, q) for q in range(3)]
-    corr = correlation_matrix(state, 0, 1)
+    b_a, b_b, corr = (v[0] for v in _bloch_geometry(state.tensor[None]))
+    blochs = [b_a, b_b, bloch_vector(state, 2)]
     if args.format == "structured":
         doc = {
             "b_A": inv.b_A,

@@ -15,9 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .invariants import (
+from .invariants import (  # noqa: F401  correlation_matrix is looked up here too
     _bloch,
+    _bloch_geometry,
     _correlation,
+    _invariant_rows,
+    _marginals,
     _sextic_t_trace,
     bloch_vector,
     correlation_matrix,
@@ -282,10 +285,7 @@ def svd_branch_solutions(p: CanonicalParams) -> BranchReport:
             [-math.sin(beta), 0.0, math.cos(beta)],
         ]
     )
-    state = canonical_to_state(p)
-    bloch_a = bloch_vector(state, 0)
-    bloch_b = bloch_vector(state, 1)
-    corr = correlation_matrix(state, 0, 1)
+    bloch_a, bloch_b, corr = (v[0] for v in _bloch_geometry(canonical_to_state(p).tensor[None]))
     zeta = np.array([0.0, 0.0, 1.0])
 
     def solution(x_rot, y_rot, lam1, lam2):
@@ -344,12 +344,12 @@ class TheoremCheckReport:
     passed: bool
 
 
-def _zero_mode_residuals(tensors: np.ndarray, vanishing: int) -> tuple[np.ndarray, np.ndarray]:
-    """(S,) arrays |G^T b_first| and |G b_second| of a three-qubit batch."""
-    first, second = (q for q in range(3) if q != vanishing)
-    g = _correlation(tensors, first, second)
-    left = np.einsum("sji,sj->si", g, _bloch(tensors, first))
-    right = np.einsum("sij,sj->si", g, _bloch(tensors, second))
+def _zero_mode_residuals(b_first: np.ndarray, b_second: np.ndarray, g: np.ndarray):
+    """(S,) arrays |G^T b_first| and |G b_second| from the (S, 3) Bloch vectors
+    and (S, 3, 3) correlation matrix of one ``_marginals`` pass over the two
+    non-vanishing qubits."""
+    left = np.einsum("sji,sj->si", g, b_first)
+    right = np.einsum("sij,sj->si", g, b_second)
     return np.linalg.norm(left, axis=1), np.linalg.norm(right, axis=1)
 
 
@@ -395,7 +395,8 @@ def theorem_check(
     lengths = np.array([inv.b_A, inv.b_B, inv.b_C])
     vanishing = int(np.argmin(lengths))
     tensor = state.tensor[None]
-    left, right = _zero_mode_residuals(tensor, vanishing)
+    pair = (q for q in range(3) if q != vanishing)
+    left, right = _zero_mode_residuals(*_bloch_geometry(tensor, *pair))
     numeric = _solve_overlaps(tensor, solver, _misses_half(tolerance))[0][0]
     return TheoremCheckReport(
         params=p,
@@ -500,10 +501,12 @@ def run_theorem_campaign(
     tensors = _canonical_tensors(rows)
     g2, *_, rechecked, upper = _solve_overlaps(tensors, solver, _misses_half(tolerance))
 
-    left, right = _zero_mode_residuals(tensors, 2)  # both families have b_C = 0
+    rho_a, rho_b, rho_ab = _marginals(tensors)  # both families have b_C = 0
+    g = _correlation(rho_ab)
+    left, right = _zero_mode_residuals(_bloch(rho_a), _bloch(rho_b), g)
     max_sv = 0.0
     if family is ZeroBlochFamily.H_NONZERO:
-        numeric_sv = np.linalg.svd(_correlation(tensors, 0, 1), compute_uv=False)
+        numeric_sv = np.linalg.svd(g, compute_uv=False)
         a, b, _, _, h, _ = rows.T
         closed_sv = _g_singular_values(a, b, h)
         max_sv = float(np.abs(numeric_sv - closed_sv).max())
@@ -518,7 +521,7 @@ def run_theorem_campaign(
         seed=seed,
         tolerance=tolerance,
         max_g2_error=float(np.abs(g2 - 0.5).max()),
-        max_abs_t=float(np.abs(_sextic_t_trace(tensors)).max()),
+        max_abs_t=float(np.abs(_sextic_t_trace(rho_a, rho_b, rho_ab)).max()),
         max_zero_mode_residual=float(max(left.max(), right.max())),
         max_singular_value_error=max_sv,
         rechecked=rechecked,
@@ -684,7 +687,7 @@ def inverse_search(
     states.append(canonical_to_state(_sample_zero_bloch(ZeroBlochFamily.H_NONZERO, rng)))
     tensors = np.stack([s.tensor for s in states])
     g2 = _solve_overlaps(tensors, solver, lambda g: np.abs(g - 0.5) <= 10.0 * filter_tol)[0]
-    min_bloch = np.min([np.linalg.norm(_bloch(tensors, q), axis=1) for q in range(3)], axis=0)
+    min_bloch = _invariant_rows(tensors)[:, :3].min(axis=1)
     hits = [
         InverseHit(int(i), float(g2[i]), float(min_bloch[i]), is_control=bool(i >= control_from))
         for i in np.flatnonzero(np.abs(g2 - 0.5) <= filter_tol)

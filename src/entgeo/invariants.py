@@ -26,36 +26,62 @@ class InvariantConsistencyError(RuntimeError):
     """The two independent routes to the sextic invariant disagreed."""
 
 
-def _bloch(tensors: np.ndarray, q: int) -> np.ndarray:
-    """(S, 3) Bloch vectors tr(rho_q sigma_k) of qubit ``q`` of a batch."""
-    return np.einsum("sab,kba->sk", _rho(tensors, [q]), PAULIS).real
+# G_ij = tr(rho_pair sigma_i x sigma_j) = Re sum_k rho_pair_k conj(P_kij) over the 16
+# entries k of the Hermitian P_ij = sigma_i x sigma_j: one real (32, 9) map on the
+# (re, im) view of rho_pair
+_G_MAP = np.einsum("iac,jbd->abcdij", PAULIS, PAULIS).reshape(16, 9)
+_G_MAP = _readonly(np.stack([_G_MAP.real, _G_MAP.imag], axis=1).reshape(32, 9))
 
 
-def _correlation(tensors: np.ndarray, q1: int, q2: int) -> np.ndarray:
-    """(S, 3, 3) correlation matrices tr(rho_{q1 q2} sigma_i x sigma_j) of a batch."""
-    rho = _rho(tensors, [q1, q2]).reshape(-1, 2, 2, 2, 2)
-    return np.einsum("sabcd,ica,jdb->sij", rho, PAULIS, PAULIS).real
+def _marginals(tensors: np.ndarray, first: int = 0, second: int = 1):
+    """(rho_first (S, 2, 2), rho_second (S, 2, 2), rho_pair (S, 4, 4)) of a batch.
+
+    One ``_rho`` product gives the pair marginal, ``first`` the more
+    significant qubit; the one-qubit marginals are its two partial traces.
+    """
+    pair = _rho(tensors, [first, second])
+    r = pair.reshape(-1, 2, 2, 2, 2)
+    return r[:, :, 0, :, 0] + r[:, :, 1, :, 1], r[:, 0, :, 0] + r[:, 1, :, 1], pair
 
 
-def _sextic_t_trace(tensors: np.ndarray) -> np.ndarray:
-    """(S,) values of ``sextic_t_trace`` for a three-qubit batch."""
-    rho_a = _rho(tensors, [0])
-    rho_b = _rho(tensors, [1])
-    rho_a_rho_b = np.einsum("sac,sbd->sabcd", rho_a, rho_b).reshape(-1, 4, 4)
-    value = (
-        3.0 * np.trace(_rho(tensors, [0, 1]) @ rho_a_rho_b, axis1=1, axis2=2)
-        - np.trace(rho_a @ rho_a @ rho_a, axis1=1, axis2=2)
-        - np.trace(rho_b @ rho_b @ rho_b, axis1=1, axis2=2)
-        - 0.25
-    )
-    return value.real
+def _bloch(rho: np.ndarray) -> np.ndarray:
+    """(S, 3) Bloch vectors tr(rho sigma_k) = (2 Re r01, -2 Im r01, r00 - r11)
+    of (S, 2, 2) one-qubit marginals."""
+    r01 = rho[:, 0, 1]
+    return np.stack([2.0 * r01.real, -2.0 * r01.imag, (rho[:, 0, 0] - rho[:, 1, 1]).real], axis=1)
+
+
+def _correlation(rho_pair: np.ndarray) -> np.ndarray:
+    """(S, 3, 3) correlation matrices tr(rho_pair sigma_i x sigma_j) of (S, 4, 4)
+    pair marginals; one GEMM over the batch, so a row may differ from its
+    batch-of-one value by an ulp."""
+    return (rho_pair.view(float).reshape(-1, 32) @ _G_MAP).reshape(-1, 3, 3)
+
+
+def _sextic_t_trace(rho_a: np.ndarray, rho_b: np.ndarray, rho_ab: np.ndarray) -> np.ndarray:
+    """(S,) values of ``sextic_t_trace`` from the marginals of a three-qubit batch."""
+    cross = np.einsum("sabcd,sca,sdb->s", rho_ab.reshape(-1, 2, 2, 2, 2), rho_a, rho_b)
+    cubes = np.einsum("sab,sbc,sca->s", rho_a, rho_a, rho_a)
+    cubes += np.einsum("sab,sbc,sca->s", rho_b, rho_b, rho_b)
+    return (3.0 * cross - cubes).real - 0.25
+
+
+def _sextic_t_bloch(b_a: np.ndarray, b_b: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(S,) values of ``sextic_t_bloch`` from (S, 3) Bloch vectors and (S, 3, 3) G."""
+    return 0.75 * np.einsum("si,sij,sj->s", b_a, g, b_b)
+
+
+def _bloch_geometry(tensors: np.ndarray, first: int = 0, second: int = 1):
+    """(b_first, b_second, G) of a batch, from one ``_marginals`` pass."""
+    rho_first, rho_second, rho_pair = _marginals(tensors, first, second)
+    return _bloch(rho_first), _bloch(rho_second), _correlation(rho_pair)
 
 
 def bloch_vector(s: PureState, q: int) -> np.ndarray:
     """(tr rho sigma_x, tr rho sigma_y, tr rho sigma_z) of qubit ``q``."""
     if not 0 <= q < s.n_qubits:
         raise ValueError(f"qubit index {q} out of range")
-    return _bloch(s.tensor[None], q)[0]
+    return _bloch(_rho(s.tensor[None], [q]))[0]
 
 
 def bloch_length(s: PureState, q: int) -> float:
@@ -69,7 +95,7 @@ def correlation_matrix(s: PureState, q1: int, q2: int) -> np.ndarray:
     for q in (q1, q2):
         if not 0 <= q < s.n_qubits:
             raise ValueError(f"qubit index {q} out of range")
-    return _correlation(s.tensor[None], q1, q2)[0]
+    return _correlation(_rho(s.tensor[None], [q1, q2]))[0]
 
 
 def sextic_t_trace(s: PureState) -> float:
@@ -78,14 +104,14 @@ def sextic_t_trace(s: PureState) -> float:
     """
     if s.n_qubits != 3:
         raise ValueError("the sextic invariant is defined for three-qubit states")
-    return float(_sextic_t_trace(s.tensor[None])[0])
+    return float(_sextic_t_trace(*_marginals(s.tensor[None]))[0])
 
 
 def sextic_t_bloch(s: PureState) -> float:
     """Sextic invariant from Bloch geometry: (3/4) b_A . (G b_B)."""
     if s.n_qubits != 3:
         raise ValueError("the sextic invariant is defined for three-qubit states")
-    return float(0.75 * bloch_vector(s, 0) @ (correlation_matrix(s, 0, 1) @ bloch_vector(s, 1)))
+    return float(_sextic_t_bloch(*_bloch_geometry(s.tensor[None]))[0])
 
 
 def _three_tangle(tensors: np.ndarray) -> np.ndarray:
@@ -145,25 +171,35 @@ class InvariantSet:
         return float(np.abs(self.as_array() - other.as_array()).max())
 
 
-def invariant_set(s: PureState) -> InvariantSet:
-    """Assemble (b_A, b_B, b_C, t, tau).
+def _invariant_rows(tensors: np.ndarray) -> np.ndarray:
+    """(S, 5) rows (b_A, b_B, b_C, t, tau) of a three-qubit batch, from one
+    ``_marginals`` pass; rho_C comes from the same (S, 4, 2) reshape of the
+    amplitudes as rho_AB.
 
-    The two independent formulas for t are cross-checked at 1e-10; a
-    disagreement signals an internal bug, never bad input.
+    The trace and Bloch forms of t are cross-checked at 1e-10 on every row;
+    a disagreement signals an internal bug, never bad input.
     """
-    t_value = sextic_t_trace(s)
-    t_other = sextic_t_bloch(s)
-    if abs(t_value - t_other) > _T_CROSS_TOL:
+    rho_a, rho_b, rho_ab = _marginals(tensors)
+    m = tensors.reshape(-1, 4, 2)
+    b_a, b_b, b_c = (_bloch(rho) for rho in (rho_a, rho_b, m.transpose(0, 2, 1) @ m.conj()))
+    t = _sextic_t_trace(rho_a, rho_b, rho_ab)
+    t_other = _sextic_t_bloch(b_a, b_b, _correlation(rho_ab))
+    bad = np.flatnonzero(np.abs(t - t_other) > _T_CROSS_TOL)
+    if bad.size:
         raise InvariantConsistencyError(
-            f"sextic invariant mismatch: trace form {t_value!r} vs Bloch form {t_other!r}"
+            f"sextic invariant mismatch: trace form {float(t[bad[0]])!r} "
+            f"vs Bloch form {float(t_other[bad[0]])!r}"
         )
-    return InvariantSet(
-        b_A=bloch_length(s, 0),
-        b_B=bloch_length(s, 1),
-        b_C=bloch_length(s, 2),
-        t=t_value,
-        tau=three_tangle(s),
-    )
+    lengths = np.linalg.norm(np.stack([b_a, b_b, b_c], axis=1), axis=2)
+    return np.column_stack([lengths, t, _three_tangle(tensors)])
+
+
+def invariant_set(s: PureState) -> InvariantSet:
+    """Assemble (b_A, b_B, b_C, t, tau); the two independent formulas for t
+    are cross-checked at 1e-10 (``_invariant_rows``)."""
+    if s.n_qubits != 3:
+        raise ValueError("the invariant set is defined for three-qubit states")
+    return InvariantSet(*_invariant_rows(s.tensor[None])[0].tolist())
 
 
 def canonical_bloch_vectors(p: CanonicalParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

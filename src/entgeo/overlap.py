@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _als
-from .invariants import bloch_vector, correlation_matrix
+from .invariants import _bloch_geometry
 from .states import ProductState, PureState, _cut_bound, _require_int, _require_positive
 
 _ESCALATION = 4  # the re-solve budget's factor on restarts and sweeps (``escalated()``)
@@ -134,9 +134,8 @@ def stationarity_residual(s: PureState, x, y, lam1: float, lam2: float) -> float
         raise ValueError("x and y must be finite unit 3-vectors")
     if not math.isfinite(lam1) or not math.isfinite(lam2):
         raise ValueError("lam1 and lam2 must be finite")
-    return _bloch_residual(
-        bloch_vector(s, 0), bloch_vector(s, 1), correlation_matrix(s, 0, 1), x, y, lam1, lam2
-    )
+    b_a, b_b, g = (v[0] for v in _bloch_geometry(s.tensor[None]))
+    return _bloch_residual(b_a, b_b, g, x, y, lam1, lam2)
 
 
 def _bloch_residual(b_a, b_b, g, x, y, lam1: float, lam2: float) -> float:
@@ -220,7 +219,7 @@ def nearest_product_state(s: PureState, cfg: SolverConfig | None = None) -> Over
     lagrange = None
     if s.n_qubits == 3:
         x, y = _als._bloch_from_spinors(np.stack(product.spinors[:2]))
-        b_a, b_b, g = bloch_vector(s, 0), bloch_vector(s, 1), correlation_matrix(s, 0, 1)
+        b_a, b_b, g = (v[0] for v in _bloch_geometry(s.tensor[None]))
         lagrange = (float(x @ (g @ y + b_a)), float(y @ (g.T @ x + b_b)))
     return OverlapResult(
         g_squared=float(g_squared[0]),

@@ -518,8 +518,8 @@ _GAUGE_BITS = np.array([[i >> 2 & 1, i >> 1 & 1, i & 1, 1] for i in range(8)], d
 _ZERO_AMP = 1e-10
 _CANON_RESIDUAL_TOL = 1e-9
 _CANON_RESTARTS = 32
-# the branches polished: coarse runs within _BRANCH_FLOOR of the state's best,
-# one per cluster of Bloch vectors _BRANCH_RADIUS wide (max norm)
+# the branches polished: one coarse run per cluster of Bloch vectors _BRANCH_RADIUS
+# wide (max norm); those gauge-fixed: polished within _BRANCH_FLOOR of the state's best
 _BRANCH_FLOOR = 1e-5
 _BRANCH_RADIUS = 1e-3
 
@@ -569,13 +569,16 @@ def canonicalize(
     representative: the state read in the basis (e, perp(e)) of each qubit's
     spinor e.  The search runs ``restarts`` random starts (an integer >= 0)
     plus one basis start under the default sweep cap, frozen at
-    ``_als.COARSE_TOL`` and seeded with ``seed`` (an integer >= 0).  It keeps
-    the runs within 1e-5 of the best overlap, drops each run whose Bloch
-    vectors all lie within 1e-3 of an earlier run's in overlap order (the
-    same branch), Newton-polishes the remaining branches as one batch, and
-    among all representatives reaching a residual of 1e-9 returns the
-    lexicographically largest (d, h, a, b, c, gamma), each rounded to 9
-    decimals; a remaining tie goes to the first branch in overlap order.
+    ``_als.COARSE_TOL`` and seeded with ``seed`` (an integer >= 0).  It drops
+    each run whose Bloch vectors all lie within 1e-3 of an earlier run's in
+    overlap order (the same branch), Newton-polishes the remaining runs as
+    one batch, keeps the branches within 1e-5 of the best of the polished
+    overlaps, and among all representatives reaching a residual of 1e-9
+    returns the lexicographically largest (d, h, a, b, c, gamma), each
+    rounded to 9 decimals; a remaining tie goes to the first branch in
+    overlap order.  On states whose maximisers form a continuum (W-like
+    states) the tie-break picks whichever polished point the runs sampled,
+    so the params can move by about 1e-11 with the seed.
     gamma lies in (-pi/2, pi/2] to within 1e-12, on the pi/2 side: a value
     within 1e-12 of -pi/2 is returned as pi/2, since adding pi to every qubit
     phase maps one onto the other.
@@ -597,13 +600,9 @@ def _canonicalize(tensors: np.ndarray, restarts: int, seed) -> list:
     a list of (params, unitaries): one ALS over the batch, one polish and one
     gauge fix of the branches of every state."""
     run = _als.power_iteration(tensors, restarts, _als.MAX_ITERATIONS, _als.COARSE_TOL, seed)
-    order = np.argsort(-run["g_squared"], axis=1, kind="stable")
-    overlaps = np.take_along_axis(run["g_squared"], order, axis=1)  # (S, R), descending
-    # only branches tied with a state's best overlap can win its (d, ...) tie-break,
-    # since d equals the overlap at the branch's stationary point
-    live = overlaps >= np.maximum(overlaps[:, :1] - _BRANCH_FLOOR, 1e-12)
-    # a live run whose Bloch vectors all lie within _BRANCH_RADIUS of an earlier
-    # run's, in overlap order, is the same branch frozen at another point
+    order = np.argsort(-run["g_squared"], axis=1, kind="stable")  # (S, R), descending
+    # a run whose Bloch vectors all lie within _BRANCH_RADIUS of an earlier run's,
+    # in overlap order, is the same branch frozen at another point
     n_states, n_runs = order.shape
     blochs = _als._bloch_from_spinors(run["spinors"].transpose(1, 2, 0, 3))
     blochs = np.take_along_axis(blochs.reshape(n_states, n_runs, -1), order[..., None], axis=1)
@@ -612,10 +611,16 @@ def _canonicalize(tensors: np.ndarray, restarts: int, seed) -> list:
         np.maximum(distance, np.abs(comp[:, :, None] - comp[:, None, :]), out=distance)
     earlier = np.tri(n_runs, k=-1, dtype=bool)  # [i, j]: run j before run i
     repeat = (earlier & (distance < _BRANCH_RADIUS)).any(axis=2)
-    state, rank = np.nonzero(live & ~repeat)
-    run_index = order[state, rank]
-    psis = tensors[state]
-    polished, _, _ = _als.polish_stationary(psis, run["spinors"][:, state, run_index])
+    state, rank = np.nonzero(~repeat)
+    psis, starts = tensors[state], run["spinors"][:, state, order[state, rank]]
+    polished, _, overlaps = _als.polish_stationary(psis, starts)
+    # only branches tied with a state's best polished overlap can win its (d, ...)
+    # tie-break, since d equals the overlap at the branch's stationary point; the
+    # coarse overlaps are no test, a slow run of the best basin freezes far below it
+    best = np.zeros(n_states)
+    np.maximum.at(best, state, overlaps)
+    live = overlaps >= best[state] - _BRANCH_FLOOR
+    state, psis, polished = state[live], psis[live], polished[:, live]
     rows, theta, residual = _gauge_fix(_als._frame_amplitudes(psis.conj(), polished).conj())
     # per state, the failing branches last, then descending (d, h, a, b, c, gamma);
     # the stable sort keeps overlap order among ties

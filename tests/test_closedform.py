@@ -35,7 +35,8 @@ from entgeo import (
 )
 from entgeo import _als
 from entgeo.closedform import _THEOREM_SOLVER, _zero_mode_residuals
-from entgeo.states import ZeroBlochFamily, _sample_zero_bloch, _sample_zero_bloch_rows
+from entgeo.invariants import _bloch_geometry
+from entgeo.states import ZeroBlochFamily, _rho, _sample_zero_bloch, _sample_zero_bloch_rows
 
 FAST = SolverConfig(restarts=16)
 # a budget too small for the first pass, so that samples get re-solved
@@ -298,29 +299,46 @@ class TestTheoremCheck:
         states += [haar_random_state(3, seed=k) for k in range(4)]
         tensors = np.stack([s.tensor for s in states])
         for vanishing in range(3):
-            left, right = _zero_mode_residuals(tensors, vanishing)
+            pair = [q for q in range(3) if q != vanishing]
+            left, right = _zero_mode_residuals(*_bloch_geometry(tensors, *pair))
             assert left.shape == right.shape == (len(states),)
             for i, s in enumerate(states):
-                one_left, one_right = _zero_mode_residuals(s.tensor[None], vanishing)
+                one_left, one_right = _zero_mode_residuals(*_bloch_geometry(s.tensor[None], *pair))
                 assert left[i] == pytest.approx(one_left[0], abs=1e-15)
                 assert right[i] == pytest.approx(one_right[0], abs=1e-15)
 
     def test_campaign_matches_per_sample_recomputation(self):
-        report = run_theorem_campaign("h-nonzero", 50, seed=5)
-        rng = np.random.default_rng(5)
-        max_t = max_zero = max_sv = 0.0
-        for _ in range(50):
-            p = sample_zero_bloch_manifold("h-nonzero", seed=rng)
-            s = canonical_to_state(p)
-            g = correlation_matrix(s, 0, 1)
-            max_t = max(max_t, abs(sextic_t_trace(s)))
-            max_zero = max(max_zero, np.linalg.norm(g.T @ bloch_vector(s, 0)),
-                           np.linalg.norm(g @ bloch_vector(s, 1)))
-            sv = np.linalg.svd(g, compute_uv=False)
-            max_sv = max(max_sv, np.abs(sv - svd_branch_solutions(p).singular_values).max())
-        assert report.max_abs_t == pytest.approx(max_t, abs=1e-15)
-        assert report.max_zero_mode_residual == pytest.approx(max_zero, abs=1e-15)
-        assert report.max_singular_value_error == pytest.approx(max_sv, abs=1e-15)
+        for family in ("h-nonzero", "quadrilateral"):
+            report = run_theorem_campaign(family, 50, seed=5)
+            rng = np.random.default_rng(5)
+            max_t = max_zero = max_sv = 0.0
+            for _ in range(50):
+                p = sample_zero_bloch_manifold(family, seed=rng)
+                s = canonical_to_state(p)
+                g = correlation_matrix(s, 0, 1)
+                max_t = max(max_t, abs(sextic_t_trace(s)))
+                max_zero = max(max_zero, np.linalg.norm(g.T @ bloch_vector(s, 0)),
+                               np.linalg.norm(g @ bloch_vector(s, 1)))
+                if family == "h-nonzero":  # the quadrilateral family has no SVD check
+                    sv = np.linalg.svd(g, compute_uv=False)
+                    max_sv = max(max_sv, np.abs(sv - svd_branch_solutions(p).singular_values).max())
+            assert report.max_abs_t == pytest.approx(max_t, abs=1e-15)
+            assert report.max_zero_mode_residual == pytest.approx(max_zero, abs=1e-15)
+            assert report.max_singular_value_error == pytest.approx(max_sv, abs=1e-15)
+
+    @pytest.mark.parametrize("family", list(ZeroBlochFamily))
+    def test_campaign_reads_one_pair_marginal(self, monkeypatch, family):
+        calls = []
+
+        def counting(tensors, qubits):
+            calls.append(tuple(qubits))
+            return _rho(tensors, qubits)
+
+        for module in ("entgeo.states", "entgeo.invariants"):
+            monkeypatch.setattr(f"{module}._rho", counting)
+        run_theorem_campaign(family, 50, seed=5)
+        # the cut bound's three one-qubit products, then one pass over the pair (A, B)
+        assert calls == [(0,), (1,), (2,), (0, 1)]
 
     @pytest.mark.parametrize("n_samples", [0, -3, 2.5, True, None])
     def test_campaign_sample_count_validated(self, n_samples):

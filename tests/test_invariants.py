@@ -27,7 +27,14 @@ from entgeo import (
     three_tangle_canonical,
     w_state,
 )
-from entgeo.invariants import _bloch, _correlation, _sextic_t_trace, _three_tangle
+from entgeo.invariants import (
+    _bloch,
+    _correlation,
+    _marginals,
+    _sextic_t_bloch,
+    _sextic_t_trace,
+    _three_tangle,
+)
 
 from oracles import dense_rho_pair, dense_rho_single
 
@@ -146,12 +153,15 @@ class TestBatchedKernels:
     def test_bloch_rows_match_dense_oracle(self):
         states, tensors = self.haar_batch(4)
         for q in range(4):
-            rows = _bloch(tensors, q)
-            assert rows.shape == (len(states), 3)
-            for s, row in zip(states, rows):
-                rho = dense_rho_single(s.amplitudes, 4, q)
-                expect = [np.trace(rho @ p).real for p in SIGMAS]
-                assert np.abs(row - expect).max() < 1e-12
+            # qubit q as the first and as the second qubit of a pass
+            as_first = _marginals(tensors, q, (q + 1) % 4)[0]
+            as_second = _marginals(tensors, (q + 3) % 4, q)[1]
+            for rows in _bloch(as_first), _bloch(as_second):
+                assert rows.shape == (len(states), 3)
+                for s, row in zip(states, rows):
+                    rho = dense_rho_single(s.amplitudes, 4, q)
+                    expect = [np.trace(rho @ p).real for p in SIGMAS]
+                    assert np.abs(row - expect).max() < 1e-12
 
     def test_correlation_rows_match_dense_oracle_every_ordered_pair(self):
         states, tensors = self.haar_batch(4)
@@ -159,7 +169,7 @@ class TestBatchedKernels:
             for q2 in range(4):
                 if q1 == q2:
                     continue
-                rows = _correlation(tensors, q1, q2)
+                rows = _correlation(_marginals(tensors, q1, q2)[2])
                 assert rows.shape == (len(states), 3, 3)
                 for s, row in zip(states, rows):
                     rho = dense_rho_pair(s.amplitudes, 4, q1, q2)
@@ -169,7 +179,7 @@ class TestBatchedKernels:
 
     def test_sextic_t_trace_rows_match_bloch_form(self):
         states, tensors = self.haar_batch(3, count=20)
-        rows = _sextic_t_trace(tensors)
+        rows = _sextic_t_trace(*_marginals(tensors))
         assert rows.shape == (20,)
         for s, t in zip(states, rows):
             assert t == pytest.approx(sextic_t_bloch(s), abs=1e-12)
@@ -182,6 +192,69 @@ class TestBatchedKernels:
         assert rows.shape == (22,)
         for s, tau in zip(states, rows):
             assert tau == pytest.approx(cayley_tangle(s.tensor), abs=1e-12)
+
+
+def marginal_batch():
+    """Haar states, LU-rotated GHZ and W, product states and both zero-Bloch
+    families, as a list of states and one (S, 2, 2, 2) batch."""
+    states = [haar_random_state(3, seed=500 + k) for k in range(6)]
+    for k in range(3):
+        for s in (ghz_state(3), w_state(3), basis_state(3, 5 * k % 8)):
+            states.append(apply_local_unitary(s, LocalUnitary.random(3, seed=600 + k)))
+    states += [canonical_to_state(sample_zero_bloch_manifold(family, seed=k))
+               for family in ("quadrilateral", "h-nonzero") for k in range(3)]
+    return states, np.stack([s.tensor for s in states])
+
+
+def pass_outputs(tensors, first, second):
+    """Every output of one ``_marginals`` pass and of the kernels reading it."""
+    rho_first, rho_second, rho_pair = _marginals(tensors, first, second)
+    b_first, b_second, g = _bloch(rho_first), _bloch(rho_second), _correlation(rho_pair)
+    return {
+        "rho_first": rho_first, "rho_second": rho_second, "rho_pair": rho_pair,
+        "b_first": b_first, "b_second": b_second, "G": g,
+        "t_trace": _sextic_t_trace(rho_first, rho_second, rho_pair),
+        "t_bloch": _sextic_t_bloch(b_first, b_second, g),
+    }
+
+
+PAIRS = [(0, 1), (1, 0), (0, 2), (2, 1)]
+
+
+class TestMarginals:
+    """One ``_marginals`` pass and everything read from it, against the dense
+    oracles and explicit Pauli traces, for ordered qubit pairs."""
+
+    @pytest.mark.parametrize("first,second", PAIRS)
+    def test_pass_matches_dense_oracle_and_pauli_traces(self, first, second):
+        states, tensors = marginal_batch()
+        out = pass_outputs(tensors, first, second)
+        for i, s in enumerate(states):
+            rho_1 = dense_rho_single(s.amplitudes, 3, first)
+            rho_2 = dense_rho_single(s.amplitudes, 3, second)
+            rho_12 = dense_rho_pair(s.amplitudes, 3, first, second)
+            b_1 = np.array([np.trace(rho_1 @ p).real for p in SIGMAS])
+            b_2 = np.array([np.trace(rho_2 @ p).real for p in SIGMAS])
+            g = np.array([[np.trace(rho_12 @ np.kron(pi, pj)).real for pj in SIGMAS]
+                          for pi in SIGMAS])
+            t_trace = 3 * np.trace(rho_12 @ np.kron(rho_1, rho_2)).real - 0.25
+            t_trace -= sum(np.trace(np.linalg.matrix_power(r, 3)).real for r in (rho_1, rho_2))
+            expect = {
+                "rho_first": rho_1, "rho_second": rho_2, "rho_pair": rho_12,
+                "b_first": b_1, "b_second": b_2, "G": g,
+                "t_trace": t_trace, "t_bloch": 0.75 * b_1 @ g @ b_2,
+            }
+            for key, value in expect.items():
+                assert np.abs(out[key][i] - value).max() <= 1e-14, (key, i)
+
+    @pytest.mark.parametrize("first,second", PAIRS)
+    def test_rows_equal_batch_of_one(self, first, second):
+        # the correlation map is one GEMM over the batch, which may round by batch size
+        states, tensors = marginal_batch()
+        out = pass_outputs(tensors, first, second)
+        for i, s in enumerate(states):
+            for key, value in pass_outputs(s.tensor[None], first, second).items():
+                assert np.abs(out[key][i] - value[0]).max() <= 1e-15, (key, i)
 
 
 class TestSexticInvariant:
