@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
-# default sweep cap of every ALS solve, and the overlap solver's default freeze tolerance
+# default sweep cap and freeze tolerance of every ALS solve: the ALS only finds the basin
+# and the Newton polish finishes it; a polish that stalls above POLISHED_RESIDUAL is not
+# converged, and its row is re-solved once
 MAX_ITERATIONS = 500
-TOL = 1e-13
-# the overlap solve freezes its first pass at no tighter than COARSE_TOL; a polish that
-# stalls above POLISHED_RESIDUAL is not converged, and its row is re-solved once
 COARSE_TOL = 1e-6
 POLISHED_RESIDUAL = 1e-10
 # its first pass stops a state's runs once one of them freezes within GATE_MARGIN of

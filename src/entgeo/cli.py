@@ -99,12 +99,7 @@ def _resolve_state(args) -> PureState:
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        restarts=args.restarts,
-        max_iterations=args.max_iters,
-        tol=args.tol,
-        seed=args.seed,
-    )
+    return SolverConfig(restarts=args.restarts, max_iterations=args.max_iters, seed=args.seed)
 
 
 def _spinor_doc(spinor) -> list:
@@ -394,11 +389,6 @@ def _add_solver_flags(p: argparse.ArgumentParser, restarts: int = SolverConfig.r
     p.add_argument("--restarts", type=int, default=restarts, metavar="N")
     p.add_argument("--max-iters", type=int, default=SolverConfig.max_iterations, metavar="N",
                    help="sweep cap of each alternating run; 4x N in the re-solve pass")
-    p.add_argument("--tol", type=float, default=SolverConfig.tol, metavar="X",
-                   help="ALS freeze tolerance of the one re-solve pass (4x the restarts and "
-                        "sweeps), which reruns only the states whose Newton polish stalls "
-                        "or, in inverse-search, whose g^2 lies near 1/2; the first pass "
-                        "freezes at max(X, 1e-6)")
     p.add_argument("--seed", type=int, default=0, metavar="N")
 
 

@@ -34,6 +34,7 @@ from .overlap import (
     quarter_form,
 )
 from .states import (
+    MAX_QUBITS,
     CanonicalParams,
     ProductState,
     PureState,
@@ -536,13 +537,12 @@ def run_theorem_campaign(
 
 def ghz_theta_state(theta: float, n: int) -> PureState:
     """cos(theta)|0...0> + sin(theta)|1...1> on n qubits."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    _require_int("n", n, 2, MAX_QUBITS)
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = math.cos(theta)
     amps[-1] = math.sin(theta)
-    if abs(amps[0]) < 1e-300 and abs(amps[-1]) < 1e-300:
-        raise ValueError("degenerate angle")
     return PureState(n, amps / np.linalg.norm(amps))
 
 
@@ -552,16 +552,19 @@ def ghz_overlap(theta: float, n: int) -> float:
     All single-qubit Bloch vectors of the state share the length |cos 2 theta|,
     so this is (1 + |b|)/2; the value is independent of n >= 2.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    _require_int("n", n, 2)
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     return float((1.0 + abs(math.cos(2.0 * theta))) / 2.0)
 
 
 def wn_state(coeffs) -> PureState:
     """Generalized W state sum_i c_i |0..1_i..0> with nonnegative c_i."""
     c = np.asarray(coeffs, dtype=float)
-    if c.ndim != 1 or c.size < 2:
-        raise ValueError("need at least two coefficients")
+    if c.ndim != 1 or not 2 <= c.size <= MAX_QUBITS:
+        raise ValueError(f"need 2..{MAX_QUBITS} coefficients, got shape {c.shape}")
+    if not np.isfinite(c).all():
+        raise ValueError(f"coeffs must be finite, got {c.tolist()}")
     if c.min() < 0:
         raise ValueError("coefficients must be nonnegative")
     if abs((c**2).sum() - 1.0) > 1e-12:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _als
 from .invariants import _bloch_geometry
-from .states import ProductState, PureState, _cut_bound, _require_int, _require_positive
+from .states import ProductState, PureState, _cut_bound, _require_int
 
 _ESCALATION = 4  # the re-solve budget's factor on restarts and sweeps (``escalated()``)
 
@@ -26,31 +26,28 @@ class SolverConfig:
     """Multi-start solver knobs.
 
     ``restarts`` random initializations are run, plus one deterministic start
-    at the largest-magnitude basis amplitude.  A restart freezes once its
-    squared overlap changes by less than the freeze tolerance over a sweep:
-    ``max(tol, _als.COARSE_TOL)`` in the first pass of the overlap solve,
-    ``tol`` in its one re-solve pass, which runs under ``escalated()`` (see
+    at the largest-magnitude basis amplitude, each for at most
+    ``max_iterations`` sweeps.  A restart freezes once its squared overlap
+    changes by less than ``_als.COARSE_TOL`` over a sweep, in both passes of
+    the overlap solve; the re-solve pass runs under ``escalated()`` (see
     ``_solve_overlaps``).
     """
 
     restarts: int = 64
     max_iterations: int = _als.MAX_ITERATIONS
-    tol: float = _als.TOL
     seed: int = 0
 
     def __post_init__(self):
         _require_int("restarts", self.restarts, 1)
         _require_int("max_iterations", self.max_iterations, 1)
-        _require_positive("tol", self.tol)
         _require_int("seed", self.seed, 0)
 
     def escalated(self) -> "SolverConfig":
-        """The budget for re-solving stragglers: 4x the restarts and sweeps, the
-        same ``tol`` and the next seed."""
+        """The budget for re-solving stragglers: 4x the restarts and sweeps and
+        the next seed."""
         return SolverConfig(
             restarts=_ESCALATION * self.restarts,
             max_iterations=_ESCALATION * self.max_iterations,
-            tol=self.tol,
             seed=self.seed + 1,
         )
 
@@ -153,12 +150,12 @@ def _gauge_fix(spinor: np.ndarray) -> np.ndarray:
     return spinor * (np.conj(pivot) / abs(pivot))
 
 
-def _best_polished(tensors: np.ndarray, cfg: SolverConfig, tol: float, stop_at=None):
-    """Best of ``cfg.restarts`` + 1 ALS runs frozen at ``tol`` (and gated at
-    ``stop_at``) for each state, Newton-polished as one batch, in the order
-    ``_solve_overlaps`` returns, with the (S,) gate flags last."""
-    run = _als.power_iteration(tensors, cfg.restarts, cfg.max_iterations, tol, cfg.seed,
-                               stop_at=stop_at)
+def _best_polished(tensors: np.ndarray, cfg: SolverConfig, stop_at=None):
+    """Best of ``cfg.restarts`` + 1 ALS runs frozen at ``_als.COARSE_TOL`` (and
+    gated at ``stop_at``) for each state, Newton-polished as one batch, in the
+    order ``_solve_overlaps`` returns, with the (S,) gate flags last."""
+    run = _als.power_iteration(tensors, cfg.restarts, cfg.max_iterations, _als.COARSE_TOL,
+                               cfg.seed, stop_at=stop_at)
     rows = np.arange(tensors.shape[0])
     best = np.argmax(run["g_squared"], axis=1)
     spinors, residual, g_squared = _als.polish_stationary(tensors, run["spinors"][:, rows, best])
@@ -168,9 +165,9 @@ def _best_polished(tensors: np.ndarray, cfg: SolverConfig, tol: float, stop_at=N
 def _solve_overlaps(tensors: np.ndarray, cfg: SolverConfig, suspect=None):
     """Best polished ALS run for each state of an (S, 2, ..., 2) batch.
 
-    Pass 1 freezes the runs at ``max(cfg.tol, _als.COARSE_TOL)``: ALS only has
-    to find the basin, and the Newton polish of each state's best run finishes
-    it quadratically.  Pass 1 is also gated by the one-qubit cut bound
+    Both passes freeze the runs at ``_als.COARSE_TOL``: ALS only has to find
+    the basin, and the Newton polish of each state's best run finishes it
+    quadratically.  Pass 1 is also gated by the one-qubit cut bound
     ``upper`` (``states._cut_bound``): a state's runs all stop once one of them
     freezes within ``_als.GATE_MARGIN`` of its ``upper``.  From sweep
     ``_als.COARSE_SWEEPS`` on, it also stops each run below a frozen run of
@@ -178,7 +175,7 @@ def _solve_overlaps(tensors: np.ndarray, cfg: SolverConfig, suspect=None):
     polish stalls above ``_als.POLISHED_RESIDUAL``, whose gate fired but whose
     bracket ``upper - g2`` is still wider than ``_als.CLOSED_GAP``, or whose
     value ``suspect(g2)`` flags, are re-solved once, as one ungated batch,
-    with ``cfg.escalated()`` frozen at ``cfg.tol``, and polished again.
+    under ``cfg.escalated()``, and polished again.
 
     Returns (g_squared (S,), spinors as one (n, S, 2) block, residual (S,),
     sweeps (S,), number of re-solved states, upper (S,)); sweeps are those of
@@ -186,9 +183,8 @@ def _solve_overlaps(tensors: np.ndarray, cfg: SolverConfig, suspect=None):
     its polish.
     """
     upper = _cut_bound(tensors)
-    coarse = max(cfg.tol, _als.COARSE_TOL)
     g_squared, spinors, residual, sweeps, gated = _best_polished(
-        tensors, cfg, coarse, upper - _als.GATE_MARGIN
+        tensors, cfg, upper - _als.GATE_MARGIN
     )
     gated_open = gated & ~(upper - g_squared <= _als.CLOSED_GAP)
     redo = ~(residual <= _als.POLISHED_RESIDUAL) | gated_open
@@ -196,9 +192,9 @@ def _solve_overlaps(tensors: np.ndarray, cfg: SolverConfig, suspect=None):
         redo |= suspect(g_squared)
     redo = np.flatnonzero(redo)
     if redo.size:
-        fine = _best_polished(tensors[redo], cfg.escalated(), cfg.tol)
+        again = _best_polished(tensors[redo], cfg.escalated())
         for whole, part in zip((g_squared, *spinors, residual, sweeps),
-                               (fine[0], *fine[1], *fine[2:4])):
+                               (again[0], *again[1], *again[2:4])):
             whole[redo] = part
     return g_squared, spinors, residual, sweeps, int(redo.size), upper
 

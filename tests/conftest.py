@@ -18,16 +18,15 @@ class AlsPasses(list):
         """Check that the calls so far are one ``_solve_overlaps(psis, cfg,
         suspect)`` and return the rows it re-solved.
 
-        Pass 1 runs under ``cfg`` at the coarse tolerance, gated at each
+        Pass 1 runs under ``cfg`` at ``_als.COARSE_TOL``, gated at each
         state's cut bound less ``_als.GATE_MARGIN``.  Exactly the rows that
         are stalled (polish above ``_als.POLISHED_RESIDUAL``), gated-open (gate
         fired, cut bound still more than ``_als.CLOSED_GAP`` above g^2) or
         ``suspect`` are re-solved, in one more ungated call under
-        ``cfg.escalated()`` at ``cfg.tol``; there is no third call.
+        ``cfg.escalated()``, also at ``_als.COARSE_TOL``; there is no third call.
         """
         first = self[0]
-        coarse = max(cfg.tol, _als.COARSE_TOL)
-        assert first["budget"] == (cfg.restarts, cfg.max_iterations, coarse, cfg.seed)
+        assert first["budget"] == (cfg.restarts, cfg.max_iterations, _als.COARSE_TOL, cfg.seed)
         upper = _cut_bound(first["psis"])
         assert np.array_equal(first["stop_at"], upper - _als.GATE_MARGIN)
         flagged = ~(first["residual"] <= _als.POLISHED_RESIDUAL)
@@ -38,7 +37,8 @@ class AlsPasses(list):
         assert len(self) == (2 if rows.size else 1)
         if rows.size:
             esc = cfg.escalated()
-            assert self[1]["budget"] == (esc.restarts, esc.max_iterations, cfg.tol, esc.seed)
+            assert self[1]["budget"] == (esc.restarts, esc.max_iterations, _als.COARSE_TOL,
+                                         esc.seed)
             assert self[1]["stop_at"] is None
             assert np.array_equal(self[1]["psis"], first["psis"][rows])
         return rows

@@ -148,16 +148,6 @@ class TestOverlapCommand:
         assert code == 2
         assert "unknown builtin" in err
 
-
-    @pytest.mark.parametrize("command", ["overlap", "inverse-search"])
-    @pytest.mark.parametrize("tol", ["nan", "inf"])
-    def test_bad_solver_tol_exit_2(self, capsys, command, tol):
-        source = ("--builtin", "ghz") if command == "overlap" else ("--samples", "2")
-        code, out, err = run_cli(capsys, command, *source, "--tol", tol)
-        assert code == 2
-        assert out == ""
-        assert err == f"error: tol must be a finite number > 0, got {float(tol)!r}\n"
-
     def test_negative_seed_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "overlap", "--builtin", "ghz", "--seed", "-1")
         assert code == 2

@@ -1,6 +1,7 @@
 """Tests for the analytic solutions and the theorem machinery."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -406,6 +407,18 @@ class TestGhzFamily:
         numeric = nearest_product_state(ghz_theta_state(theta, 3), FAST).g_squared
         assert numeric == pytest.approx(ghz_overlap(theta, 3), abs=1e-8)
 
+    @pytest.mark.parametrize("build", [ghz_overlap, ghz_theta_state])
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_named(self, build, theta):
+        with pytest.raises(ValueError, match=f"theta must be finite, got {theta!r}"):
+            build(theta, 3)
+
+    @pytest.mark.parametrize("build, span", [(ghz_overlap, ">= 2"), (ghz_theta_state, "in 2..8")])
+    @pytest.mark.parametrize("n", [1, 0, 2.5, True, "3", None])
+    def test_bad_n_named(self, build, span, n):
+        with pytest.raises(ValueError, match=re.escape(f"n must be an integer {span}, got {n!r}")):
+            build(0.3, n)
+
 
 class TestWnFamily:
     def test_uniform_w3(self):
@@ -450,6 +463,17 @@ class TestWnFamily:
             wn_state([0.9, 0.1])
         with pytest.raises(ValueError):
             wn_state([1.2, -math.sqrt(0.44)])
+
+    @pytest.mark.parametrize("coeffs", [[math.nan, 1.0], [1.0, math.inf], [-math.inf, 0.5, 0.5]])
+    def test_non_finite_coefficients_named(self, coeffs):
+        # named before the sign and norm checks, which a NaN would slip past
+        with pytest.raises(ValueError, match=re.escape(f"coeffs must be finite, got {coeffs}")):
+            wn_state(coeffs)
+
+    @pytest.mark.parametrize("size", [1, 9])
+    def test_coefficient_count_bounded(self, size):
+        with pytest.raises(ValueError, match=re.escape(f"need 2..8 coefficients, got shape ({size},)")):
+            wn_state([1 / math.sqrt(size)] * size)
 
 
 class TestDicke4:
@@ -498,7 +522,7 @@ class TestBatchedResolve:
         cfg = _THEOREM_SOLVER
         flagged = als_passes.resolved_rows(cfg, self.off_half(report.tolerance))
         assert als_passes[1]["budget"] == (
-            4 * cfg.restarts, 4 * cfg.max_iterations, cfg.tol, cfg.seed + 1
+            4 * cfg.restarts, 4 * cfg.max_iterations, _als.COARSE_TOL, cfg.seed + 1
         )
         assert report.rechecked == flagged.size > 0
         g2 = als_passes.answer("g_squared", flagged)

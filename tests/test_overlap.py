@@ -39,6 +39,7 @@ from entgeo import (
 )
 import entgeo
 from entgeo import _als
+from entgeo.cli import build_parser
 from entgeo.overlap import _solve_overlaps
 from entgeo.states import ZeroBlochFamily, _cut_bound, _sample_zero_bloch
 
@@ -181,24 +182,26 @@ class TestSolverContracts:
         with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {bad!r}"):
             SolverConfig(seed=bad)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1e-13, True, "1e-13"])
-    def test_config_tol_named(self, bad):
-        with pytest.raises(ValueError, match="tol must be a finite number > 0"):
-            SolverConfig(tol=bad)
-
-    def test_no_knobs_beyond_the_four_fields(self):
-        # the coarse first pass and its re-solve threshold are constants, not settings
+    def test_no_knobs_beyond_the_four_fields(self, capsys):
+        # the freeze tolerance and the re-solve threshold are constants, not settings
         assert [f.name for f in dataclasses.fields(SolverConfig)] == [
-            "restarts", "max_iterations", "tol", "seed"
+            "restarts", "max_iterations", "seed"
         ]
+        parser = build_parser()
+        for argv in (["overlap", "--builtin", "ghz"], ["inverse-search"]):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([*argv, "--tol", "1e-9"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
+        # verify-theorem's --tol is its pass tolerance on |g^2 - 1/2|
+        assert parser.parse_args(["verify-theorem", "--tol", "1e-9"]).tol == 1e-9
         sources = sorted(Path(entgeo.__file__).parent.glob("*.py"))
         assert sources
         for path in sources:
             assert not re.search(r"\b(environ|getenv)\b", path.read_text()), path.name
 
     def test_config_accepts_numpy_scalars(self):
-        cfg = SolverConfig(restarts=np.int64(3), max_iterations=np.int32(40), tol=np.float64(1e-9),
-                           seed=np.uint8(2))
+        cfg = SolverConfig(restarts=np.int64(3), max_iterations=np.int32(40), seed=np.uint8(2))
         assert nearest_product_state(ghz_state(3), cfg).g_squared == pytest.approx(0.5, abs=1e-12)
 
 
@@ -590,8 +593,9 @@ def assert_best_polished(tensors, cfg):
 
 
 def _best_runs(tensors, cfg):
-    """Each state's best ALS run, as n arrays (S, 2)."""
-    run = _als.power_iteration(tensors, cfg.restarts, cfg.max_iterations, cfg.tol, cfg.seed)
+    """Each state's best ALS run, frozen at ``_als.COARSE_TOL``, as n arrays (S, 2)."""
+    run = _als.power_iteration(tensors, cfg.restarts, cfg.max_iterations, _als.COARSE_TOL,
+                               cfg.seed)
     best = np.argmax(run["g_squared"], axis=1)
     return [sp[np.arange(len(tensors)), best] for sp in run["spinors"]]
 
@@ -662,7 +666,7 @@ class TestSolvePath:
         states.append(w_state(n))
         states.append(basis_state(n, 5))
         tensors = np.stack([s.tensor for s in states])
-        starts = _best_runs(tensors, SolverConfig(restarts=4, max_iterations=30, tol=1e-6))
+        starts = _best_runs(tensors, SolverConfig(restarts=4, max_iterations=30))
         spinors, residual, g2 = _als.polish_stationary(tensors, starts)
         assert residual[-1] == 0.0 and g2[-1] == pytest.approx(1.0, abs=1e-15)
         assert residual.max() <= 1e-12
@@ -679,7 +683,7 @@ class TestSolvePath:
         bell = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex) / np.sqrt(2.0)
         haar = haar_random_state(2, seed=8).tensor
         tensors = np.stack([bell, haar])
-        starts = _best_runs(tensors, SolverConfig(restarts=4, max_iterations=5, tol=1e-6))
+        starts = _best_runs(tensors, SolverConfig(restarts=4, max_iterations=5))
         for sp in starts:
             sp[0] = [1.0, 0.0]
         spinors, residual, g2 = _als.polish_stationary(tensors, starts)
@@ -705,7 +709,7 @@ class TestSolvePath:
         assert np.array_equal(sweeps, als_passes.answer("sweeps", redo))
         assert np.array_equal(g2, als_passes.answer("g_squared", redo))
         assert np.array_equal(residual, als_passes.answer("residual", redo))
-        tight = _als.power_iteration(tensors, cfg.restarts, cfg.max_iterations, cfg.tol, cfg.seed)
+        tight = _als.power_iteration(tensors, cfg.restarts, cfg.max_iterations, 1e-13, cfg.seed)
         assert np.abs(g2 - tight["g_squared"].max(axis=1)).max() <= 1e-12
         for i, s in enumerate(states):
             product = ProductState(tuple(sp[i] for sp in spinors))
@@ -725,7 +729,8 @@ class TestSolvePath:
         stall = als_passes[0]["residual"]
         assert np.flatnonzero(stall > _als.POLISHED_RESIDUAL).tolist() == stalled
         assert 4e-4 <= stall[stalled].min() and stall[stalled].max() <= 7e-4
-        # one re-solve of those rows alone, under the escalated budget at FAST.tol
+        # one re-solve of those rows alone, under the escalated budget and frozen
+        # at _als.COARSE_TOL like pass 1
         redo = als_passes.resolved_rows(FAST)
         assert redo.tolist() == stalled and resolved == len(stalled)
         assert np.array_equal(sweeps, als_passes.answer("sweeps", redo))
@@ -775,15 +780,36 @@ class TestSolvePath:
         assert np.all(g2 >= ungated[0] - 1e-12)
 
     def test_resolved_state_reports_the_answering_pass(self, monkeypatch, als_passes):
-        # with no polished residual accepted, every state is re-solved
+        # with no polished residual accepted, every state is re-solved; this
+        # state's best run takes 25 sweeps in pass 1 and 16 in the re-solve
         monkeypatch.setattr(_als, "POLISHED_RESIDUAL", 0.0)
         cfg = SolverConfig(restarts=8, seed=2)
-        result = nearest_product_state(haar_random_state(4, seed=3), cfg)
+        result = nearest_product_state(haar_random_state(4, seed=4), cfg)
         assert als_passes.resolved_rows(cfg).tolist() == [0]
         assert result.restarts_used == 4 * cfg.restarts + 1 == cfg.escalated().restarts + 1
         assert result.iterations == als_passes[1]["sweeps"][0] != als_passes[0]["sweeps"][0]
         assert result.g_squared == als_passes[1]["g_squared"][0]
         assert not result.converged
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_resolve_matches_a_tightly_frozen_reference(self, monkeypatch, n):
+        # every row is re-solved; the re-solve freezes at _als.COARSE_TOL and
+        # must reach the polished best run of the same budget frozen at 1e-13
+        accepted = _als.POLISHED_RESIDUAL
+        monkeypatch.setattr(_als, "POLISHED_RESIDUAL", 0.0)
+        states = [haar_random_state(n, seed=900 + 10 * n + k) for k in range(3)]
+        if n == 4:
+            states.append(apply_local_unitary(w_state(4), LocalUnitary.random(4, seed=9)))
+        tensors = np.stack([s.tensor for s in states])
+        g2, _, residual, _, resolved, _ = _solve_overlaps(tensors, FAST)
+        assert resolved == len(states) and residual.max() <= accepted
+        esc = FAST.escalated()
+        tight = _als.power_iteration(tensors, esc.restarts, esc.max_iterations, 1e-13, esc.seed)
+        best = np.argmax(tight["g_squared"], axis=1)
+        starts = tight["spinors"][:, np.arange(len(states)), best]
+        assert np.abs(g2 - _als.polish_stationary(tensors, starts)[2]).max() <= 1e-12
+        if n == 4:
+            assert g2[-1] == pytest.approx(27 / 64, abs=1e-12)
 
     @pytest.mark.parametrize("n", range(3, 7))
     def test_near_tie_ghz_takes_the_better_basin(self, n):
@@ -805,5 +831,5 @@ class TestSolvePath:
         assert_best_polished(s.tensor[None], FAST)
 
     def test_escalated(self):
-        cfg = SolverConfig(restarts=16, max_iterations=500, tol=1e-13, seed=3).escalated()
-        assert (cfg.restarts, cfg.max_iterations, cfg.tol, cfg.seed) == (64, 2000, 1e-13, 4)
+        cfg = SolverConfig(restarts=16, max_iterations=500, seed=3).escalated()
+        assert (cfg.restarts, cfg.max_iterations, cfg.seed) == (64, 2000, 4)
