@@ -12,7 +12,8 @@ a restart freezes once its squared overlap changes by less than ``tol`` in a
 full sweep, or once another run of its state freezes at the state's gate.  A
 gated pass also stops, unconverged, each run that from sweep ``COARSE_SWEEPS``
 on lies below a frozen run of its own state; such a run, like one stopped by
-the sweep cap, reports ``converged`` false.
+the sweep cap, reports ``converged`` false.  ``branches`` picks the distinct
+runs to Newton-polish, stopped runs included.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ GATE_MARGIN = 1e-5
 CLOSED_GAP = 1e-10
 # and, from sweep COARSE_SWEEPS on, each run that is below a frozen run of its own state
 COARSE_SWEEPS = 40
+BRANCH_RADIUS = 1e-2  # max-norm Bloch distance within which two runs are one branch
 
 _POLISH_STEPS = 12
 _PERP_SIGNS = np.array([-1.0, 1.0])
@@ -104,9 +106,10 @@ def power_iteration(
         of that state's runs freeze where they are.  A gated call also stops
         every run that, at a sweep >= ``COARSE_SWEEPS``, lies below the best
         run of its state frozen in an earlier sweep; such a run rarely
-        overtakes it, and only each state's best run is polished.  Both rules
-        read only the state's own runs, so a state's output does not depend on
-        its batch.
+        overtakes it, and it still feeds ``branches``: a slow run of the best
+        basin can lie below a fast local maximum at sweep ``COARSE_SWEEPS``
+        and still be polished.  Both rules read only the state's own runs, so a
+        state's output does not depend on its batch.
 
     Returns
     -------
@@ -185,6 +188,39 @@ def power_iteration(
         "converged": out_conv.reshape(n_states, n_runs),
         "gated": gated,
     }
+
+
+def branches(run, limit=None, window=np.inf):
+    """(state, run) index arrays of the coarse runs of a ``power_iteration``
+    output worth polishing, by state and then descending ``g_squared``: each
+    state's runs within ``window`` of its best, less every run whose Bloch
+    vectors all lie within ``BRANCH_RADIUS`` of an earlier run's (a copy of that
+    branch) and all but the best run of a gated state; with a ``limit``, the
+    first ``limit`` of them.  Only the state's own runs are read."""
+    g2 = run["g_squared"]
+    n_near = (g2 >= g2.max(axis=1, keepdims=True) - window).sum(axis=1)
+    n_near[run["gated"]] = 1
+    wide = n_near.max(initial=0)
+    order = np.argsort(-g2, axis=1, kind="stable")[:, :wide]
+    keep = np.arange(wide) < n_near[:, None]  # the first n_near runs of each state
+    if wide > 1:  # with one candidate per state there is nothing to drop
+        x = _bloch_from_spinors(run["spinors"][:, np.arange(len(g2))[:, None], order])
+        x = x.transpose(1, 0, 3, 2).reshape(len(g2), -1, wide)  # (S, 3n, runs)
+        step = max(1, 2**15 // x.size)  # runs i per (S, 3n, i, j) block of <= 2**15 entries
+        # a run's fate depends only on earlier runs, so the runs go in blocks, in order;
+        # with a limit, a first block of 2 * limit runs often settles every state
+        bounds = sorted({*range(1, wide, step), min(2 * (limit or wide), wide), wide})
+        for i, end in zip(bounds, bounds[1:]):
+            d = np.abs(x[:, :, i:end, None] - x[:, :, None, :end]).max(axis=1)  # max norm
+            earlier = np.arange(i, end)[:, None] > np.arange(end)
+            keep[:, i:end] &= ~(earlier & (d < BRANCH_RADIUS)).any(axis=2)
+            settled = (keep[:, :end].sum(axis=1) >= (limit or wide)) | (n_near <= end)
+            if settled.all():
+                break
+    if limit is not None:
+        keep &= np.cumsum(keep, axis=1) <= limit
+    state, rank = np.nonzero(keep)
+    return state, order[state, rank]
 
 
 def _perp(e: np.ndarray) -> np.ndarray:

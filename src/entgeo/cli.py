@@ -208,9 +208,7 @@ def _cmd_canonicalize(args) -> int:
             },
             "infidelity": residual,
             "canonical_state": state_to_dict(canonical),
-            "unitaries": [
-                [_spinor_doc(row) for row in m] for m in lu.matrices
-            ],
+            "unitaries": [[_spinor_doc(row) for row in m] for m in lu.matrices],
         }
         print(json.dumps(doc, indent=2))
     else:
@@ -222,21 +220,11 @@ def _cmd_canonicalize(args) -> int:
 
 
 def _cmd_verify_theorem(args) -> int:
-    families = (
-        ["quadrilateral", "h-nonzero"] if args.family == "both" else [args.family]
-    )
-    reports = []
-    for i, family in enumerate(families):
-        reports.append(
-            run_theorem_campaign(
-                family,
-                n_samples=args.samples,
-                seed=args.seed + i,
-                tolerance=args.tol,
-                solver=SolverConfig(restarts=args.restarts, max_iterations=args.max_iters,
-                                    seed=args.seed),
-            )
-        )
+    families = ["quadrilateral", "h-nonzero"] if args.family == "both" else [args.family]
+    solver = _solver_config(args)
+    reports = [run_theorem_campaign(family, n_samples=args.samples, seed=args.seed + i,
+                                    tolerance=args.tol, solver=solver)
+               for i, family in enumerate(families)]
     ok = all(r.passed for r in reports)
     if args.format == "structured":
         print(json.dumps([r.to_dict() for r in reports], indent=2))

@@ -11,7 +11,7 @@ single-qubit Bloch vector forces a squared overlap of 1/2 on three qubits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -272,20 +272,8 @@ def svd_branch_solutions(p: CanonicalParams) -> BranchReport:
     b_a = 2.0 * a * math.hypot(h, a)
     b_b = 2.0 * b * math.hypot(h, b)
     singular_values = _g_singular_values(a, b, h)
-    u = np.array(
-        [
-            [math.cos(alpha), 0.0, math.sin(alpha)],
-            [0.0, 1.0, 0.0],
-            [-math.sin(alpha), 0.0, math.cos(alpha)],
-        ]
-    )
-    v = np.array(
-        [
-            [math.cos(beta), 0.0, math.sin(beta)],
-            [0.0, 1.0, 0.0],
-            [-math.sin(beta), 0.0, math.cos(beta)],
-        ]
-    )
+    u, v = (np.array([[math.cos(t), 0.0, math.sin(t)], [0.0, 1.0, 0.0],
+                      [-math.sin(t), 0.0, math.cos(t)]]) for t in (alpha, beta))
     bloch_a, bloch_b, corr = (v[0] for v in _bloch_geometry(canonical_to_state(p).tensor[None]))
     zeta = np.array([0.0, 0.0, 1.0])
 
@@ -571,8 +559,7 @@ def wn_state(coeffs) -> PureState:
         raise ValueError("coefficients must satisfy sum c_i^2 = 1")
     n = c.size
     amps = np.zeros(2**n, dtype=complex)
-    for q in range(n):
-        amps[1 << (n - 1 - q)] = c[q]
+    amps[1 << (n - 1 - np.arange(n))] = c
     return PureState(n, amps)
 
 
@@ -616,9 +603,7 @@ def wn_overlap(coeffs, solver: SolverConfig | None = None) -> WnReport:
 def dicke4_state() -> PureState:
     """Equal superposition of the six two-excitation strings on four qubits."""
     amps = np.zeros(16, dtype=complex)
-    for i in range(16):
-        if bin(i).count("1") == 2:
-            amps[i] = 1.0 / math.sqrt(6.0)
+    amps[[bin(i).count("1") == 2 for i in range(16)]] = 1.0 / math.sqrt(6.0)
     return PureState(4, amps)
 
 
@@ -653,15 +638,7 @@ class InverseSearchReport:
             "seed": self.seed,
             "filter_tol": self.filter_tol,
             "n_hits": len(self.hits),
-            "hits": [
-                {
-                    "index": h.index,
-                    "g_squared": h.g_squared,
-                    "min_bloch_length": h.min_bloch_length,
-                    "is_control": h.is_control,
-                }
-                for h in self.hits
-            ],
+            "hits": [asdict(h) for h in self.hits],
             "min_bloch_quantiles": self.min_bloch_quantiles,
         }
 

@@ -19,6 +19,10 @@ from .invariants import _bloch_geometry
 from .states import ProductState, PureState, _cut_bound, _require_int
 
 _ESCALATION = 4  # the re-solve budget's factor on restarts and sweeps (``escalated()``)
+# a slow run of the best basin can freeze below a fast local maximum, so the
+# _BRANCHES best distinct runs within _BRANCH_WINDOW of a state's best are polished
+_BRANCHES = 2
+_BRANCH_WINDOW = 1e-4
 
 
 @dataclass(frozen=True)
@@ -29,8 +33,9 @@ class SolverConfig:
     at the largest-magnitude basis amplitude, each for at most
     ``max_iterations`` sweeps.  A restart freezes once its squared overlap
     changes by less than ``_als.COARSE_TOL`` over a sweep, in both passes of
-    the overlap solve; the re-solve pass runs under ``escalated()`` (see
-    ``_solve_overlaps``).
+    the overlap solve, and up to two distinct runs of each state within 1e-4
+    of its best are polished (``_best_polished``); the re-solve pass runs under
+    ``escalated()`` (see ``_solve_overlaps``).
     """
 
     restarts: int = 64
@@ -151,36 +156,41 @@ def _gauge_fix(spinor: np.ndarray) -> np.ndarray:
 
 
 def _best_polished(tensors: np.ndarray, cfg: SolverConfig, stop_at=None):
-    """Best of ``cfg.restarts`` + 1 ALS runs frozen at ``_als.COARSE_TOL`` (and
-    gated at ``stop_at``) for each state, Newton-polished as one batch, in the
-    order ``_solve_overlaps`` returns, with the (S,) gate flags last."""
+    """Best polished branch of ``cfg.restarts`` + 1 ALS runs frozen at
+    ``_als.COARSE_TOL`` (and gated at ``stop_at``) for each state, in the order
+    ``_solve_overlaps`` returns, with the (S,) gate flags last.  Of the runs
+    ``_als.branches`` picks, polished as one batch, a state keeps the best with
+    a residual <= ``_als.POLISHED_RESIDUAL``, else the least stalled one."""
     run = _als.power_iteration(tensors, cfg.restarts, cfg.max_iterations, _als.COARSE_TOL,
                                cfg.seed, stop_at=stop_at)
-    rows = np.arange(tensors.shape[0])
-    best = np.argmax(run["g_squared"], axis=1)
-    spinors, residual, g_squared = _als.polish_stationary(tensors, run["spinors"][:, rows, best])
-    return g_squared, spinors, residual, run["iterations"][rows, best], run["gated"]
+    state, branch = _als.branches(run, _BRANCHES, _BRANCH_WINDOW)
+    spinors, residual, g_squared = _als.polish_stationary(tensors[state],
+                                                          run["spinors"][:, state, branch])
+    ok = residual <= _als.POLISHED_RESIDUAL
+    order = np.lexsort([np.where(ok, -g_squared, residual), ~ok, state])
+    pick = order[np.searchsorted(state[order], np.arange(len(tensors)))]  # first row per state
+    return (g_squared[pick], spinors[:, pick], residual[pick],
+            run["iterations"][state[pick], branch[pick]], run["gated"])
 
 
 def _solve_overlaps(tensors: np.ndarray, cfg: SolverConfig, suspect=None):
     """Best polished ALS run for each state of an (S, 2, ..., 2) batch.
 
     Both passes freeze the runs at ``_als.COARSE_TOL``: ALS only has to find
-    the basin, and the Newton polish of each state's best run finishes it
-    quadratically.  Pass 1 is also gated by the one-qubit cut bound
-    ``upper`` (``states._cut_bound``): a state's runs all stop once one of them
-    freezes within ``_als.GATE_MARGIN`` of its ``upper``.  From sweep
-    ``_als.COARSE_SWEEPS`` on, it also stops each run below a frozen run of
-    its own state, which would only be discarded.  The states whose
-    polish stalls above ``_als.POLISHED_RESIDUAL``, whose gate fired but whose
-    bracket ``upper - g2`` is still wider than ``_als.CLOSED_GAP``, or whose
-    value ``suspect(g2)`` flags, are re-solved once, as one ungated batch,
-    under ``cfg.escalated()``, and polished again.
+    the basin, and the Newton polish of each state's best distinct runs
+    (``_best_polished``) finishes it quadratically.  Pass 1 is also gated by
+    the one-qubit cut bound ``upper`` (``states._cut_bound``): a state's runs
+    all stop once one of them freezes within ``_als.GATE_MARGIN`` of its
+    ``upper``.  From sweep ``_als.COARSE_SWEEPS`` on, it also stops each run
+    below a frozen run of its own state, where it can still be polished.  The
+    states whose polish stalls above ``_als.POLISHED_RESIDUAL``, whose gate
+    fired but whose bracket ``upper - g2`` is still wider than
+    ``_als.CLOSED_GAP``, or whose value ``suspect(g2)`` flags, are re-solved
+    once, as one ungated batch, under ``cfg.escalated()``, and polished again.
 
     Returns (g_squared (S,), spinors as one (n, S, 2) block, residual (S,),
     sweeps (S,), number of re-solved states, upper (S,)); sweeps are those of
-    the best ALS run of the pass that answered each state, the rest is after
-    its polish.
+    the ALS run whose polish answered each state.
     """
     upper = _cut_bound(tensors)
     g_squared, spinors, residual, sweeps, gated = _best_polished(

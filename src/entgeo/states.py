@@ -137,6 +137,7 @@ def make_state(n: int, amplitudes) -> PureState:
 
 def basis_state(n: int, index: int) -> PureState:
     """Computational basis state |index> in the fixed bit ordering."""
+    _require_int("n", n, 1, MAX_QUBITS)
     if not 0 <= index < 2**n:
         raise ValueError(f"basis index {index} out of range for {n} qubits")
     amps = np.zeros(2**n, dtype=complex)
@@ -146,6 +147,7 @@ def basis_state(n: int, index: int) -> PureState:
 
 def ghz_state(n: int = 3) -> PureState:
     """(|0...0> + |1...1>)/sqrt(2)."""
+    _require_int("n", n, 1, MAX_QUBITS)
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
     return PureState(n, amps)
@@ -153,9 +155,9 @@ def ghz_state(n: int = 3) -> PureState:
 
 def w_state(n: int = 3) -> PureState:
     """Equal superposition of the n single-excitation basis strings."""
+    _require_int("n", n, 1, MAX_QUBITS)
     amps = np.zeros(2**n, dtype=complex)
-    for q in range(n):
-        amps[1 << (n - 1 - q)] = 1.0 / math.sqrt(n)
+    amps[1 << (n - 1 - np.arange(n))] = 1.0 / math.sqrt(n)
     return PureState(n, amps)
 
 
@@ -518,10 +520,8 @@ _GAUGE_BITS = np.array([[i >> 2 & 1, i >> 1 & 1, i & 1, 1] for i in range(8)], d
 _ZERO_AMP = 1e-10
 _CANON_RESIDUAL_TOL = 1e-9
 _CANON_RESTARTS = 32
-# the branches polished: one coarse run per cluster of Bloch vectors _BRANCH_RADIUS
-# wide (max norm); those gauge-fixed: polished within _BRANCH_FLOOR of the state's best
+# the branches gauge-fixed: polished within _BRANCH_FLOOR of the state's best
 _BRANCH_FLOOR = 1e-5
-_BRANCH_RADIUS = 1e-3
 
 
 def _gauge_fix(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -570,13 +570,13 @@ def canonicalize(
     spinor e.  The search runs ``restarts`` random starts (an integer >= 0)
     plus one basis start under the default sweep cap, frozen at
     ``_als.COARSE_TOL`` and seeded with ``seed`` (an integer >= 0).  It drops
-    each run whose Bloch vectors all lie within 1e-3 of an earlier run's in
-    overlap order (the same branch), Newton-polishes the remaining runs as
-    one batch, keeps the branches within 1e-5 of the best of the polished
-    overlaps, and among all representatives reaching a residual of 1e-9
-    returns the lexicographically largest (d, h, a, b, c, gamma), each
-    rounded to 9 decimals; a remaining tie goes to the first branch in
-    overlap order.  On states whose maximisers form a continuum (W-like
+    each run whose Bloch vectors all lie within ``_als.BRANCH_RADIUS`` (1e-2)
+    of an earlier run's in overlap order (``_als.branches``), Newton-polishes
+    the remaining runs as one batch, keeps the branches within 1e-5 of the
+    best of the polished overlaps, and among all representatives reaching a
+    residual of 1e-9 returns the lexicographically largest (d, h, a, b, c,
+    gamma), each rounded to 9 decimals; a remaining tie goes to the first
+    branch in overlap order.  On states whose maximisers form a continuum (W-like
     states) the tie-break picks whichever polished point the runs sampled,
     so the params can move by about 1e-11 with the seed.
     gamma lies in (-pi/2, pi/2] to within 1e-12, on the pi/2 side: a value
@@ -600,24 +600,13 @@ def _canonicalize(tensors: np.ndarray, restarts: int, seed) -> list:
     a list of (params, unitaries): one ALS over the batch, one polish and one
     gauge fix of the branches of every state."""
     run = _als.power_iteration(tensors, restarts, _als.MAX_ITERATIONS, _als.COARSE_TOL, seed)
-    order = np.argsort(-run["g_squared"], axis=1, kind="stable")  # (S, R), descending
-    # a run whose Bloch vectors all lie within _BRANCH_RADIUS of an earlier run's,
-    # in overlap order, is the same branch frozen at another point
-    n_states, n_runs = order.shape
-    blochs = _als._bloch_from_spinors(run["spinors"].transpose(1, 2, 0, 3))
-    blochs = np.take_along_axis(blochs.reshape(n_states, n_runs, -1), order[..., None], axis=1)
-    distance = np.zeros((n_states, n_runs, n_runs))
-    for comp in blochs.transpose(2, 0, 1):  # (S, R) per qubit and Bloch axis
-        np.maximum(distance, np.abs(comp[:, :, None] - comp[:, None, :]), out=distance)
-    earlier = np.tri(n_runs, k=-1, dtype=bool)  # [i, j]: run j before run i
-    repeat = (earlier & (distance < _BRANCH_RADIUS)).any(axis=2)
-    state, rank = np.nonzero(~repeat)
-    psis, starts = tensors[state], run["spinors"][:, state, order[state, rank]]
+    state, branch = _als.branches(run)
+    psis, starts = tensors[state], run["spinors"][:, state, branch]
     polished, _, overlaps = _als.polish_stationary(psis, starts)
     # only branches tied with a state's best polished overlap can win its (d, ...)
     # tie-break, since d equals the overlap at the branch's stationary point; the
     # coarse overlaps are no test, a slow run of the best basin freezes far below it
-    best = np.zeros(n_states)
+    best = np.zeros(len(tensors))
     np.maximum.at(best, state, overlaps)
     live = overlaps >= best[state] - _BRANCH_FLOOR
     state, psis, polished = state[live], psis[live], polished[:, live]

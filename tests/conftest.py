@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from entgeo import _als
+from entgeo import _als, overlap
 from entgeo.states import _cut_bound
 
 
@@ -11,8 +11,8 @@ class AlsPasses(list):
     """``_als.power_iteration`` calls in call order, each a dict with its
     ``psis``, its ``budget`` (restarts, max_iterations, tol, seed), its
     ``stop_at`` gate values (None when ungated), its ``gated`` states, and the
-    ``g_squared``, ``residual`` and ``sweeps`` of each state's best run after
-    the Newton polish."""
+    ``g_squared``, ``residual`` and ``sweeps`` of each state's answer after the
+    Newton polish (``polished_branches``)."""
 
     def resolved_rows(self, cfg, suspect=None) -> np.ndarray:
         """Check that the calls so far are one ``_solve_overlaps(psis, cfg,
@@ -52,6 +52,36 @@ class AlsPasses(list):
         return out
 
 
+def polished_branches(psis, out):
+    """Each state's answer from one ``power_iteration`` output, rebuilt run by
+    run: (g_squared, residual, sweeps) arrays.
+
+    The candidates are a state's runs in descending coarse g^2, each within
+    ``overlap._BRANCH_WINDOW`` of the best, less every run whose Bloch vectors
+    all lie within ``_als.BRANCH_RADIUS`` of an earlier run's; a gated state
+    has only its best run.  The first ``overlap._BRANCHES`` candidates are
+    polished, and the answer is the best one whose residual is at most
+    ``_als.POLISHED_RESIDUAL``, else the lowest-residual one.  The best run
+    always survives, so a converged polish of it bounds the answer from below.
+    """
+    answers = []
+    for s, g2 in enumerate(out["g_squared"]):
+        ranked = np.argsort(-g2, kind="stable")
+        blochs = _als._bloch_from_spinors(out["spinors"][:, s]).transpose(1, 0, 2)  # (R, n, 3)
+        picked = []
+        for i, k in enumerate(ranked[: 1 if out["gated"][s] else None]):
+            if len(picked) == overlap._BRANCHES or g2[k] < g2[ranked[0]] - overlap._BRANCH_WINDOW:
+                break
+            if all(np.abs(blochs[k] - blochs[j]).max() >= _als.BRANCH_RADIUS for j in ranked[:i]):
+                picked.append(k)
+        _, residual, value = _als.polish_stationary(
+            np.repeat(psis[s : s + 1], len(picked), axis=0), out["spinors"][:, s, picked])
+        ok = residual <= _als.POLISHED_RESIDUAL
+        i = np.flatnonzero(ok)[np.argmax(value[ok])] if ok.any() else np.argmin(residual)
+        answers.append((value[i], residual[i], out["iterations"][s, picked[i]]))
+    return tuple(np.array(col) for col in zip(*answers))
+
+
 @pytest.fixture
 def als_passes(monkeypatch) -> AlsPasses:
     passes = AlsPasses()
@@ -59,9 +89,7 @@ def als_passes(monkeypatch) -> AlsPasses:
 
     def recording(psis, restarts, max_iterations, tol, seed, stop_at=None):
         out = run(psis, restarts, max_iterations, tol, seed, stop_at=stop_at)
-        rows = np.arange(len(psis))
-        best = np.argmax(out["g_squared"], axis=1)
-        _, residual, g2 = _als.polish_stationary(psis, [sp[rows, best] for sp in out["spinors"]])
+        g2, residual, sweeps = polished_branches(psis, out)
         passes.append({
             "psis": psis,
             "budget": (restarts, max_iterations, tol, seed),
@@ -69,7 +97,7 @@ def als_passes(monkeypatch) -> AlsPasses:
             "gated": out["gated"],
             "g_squared": g2,
             "residual": residual,
-            "sweeps": out["iterations"][rows, best],
+            "sweeps": sweeps,
         })
         return out
 

@@ -32,6 +32,7 @@ from entgeo import (
 )
 from entgeo.invariants import bloch_length, canonical_bloch_vectors
 from entgeo.states import (
+    MAX_QUBITS,
     _canonical_tensors,
     _cut_bound,
     _sample_zero_bloch,
@@ -89,6 +90,17 @@ class TestMakeState:
             make_state(bad, amps)
         assert PureState(np.int64(3), amps).tensor.shape == (2, 2, 2)
         assert make_state(np.int64(3), amps).tensor.shape == (2, 2, 2)
+
+    @pytest.mark.parametrize("build, n", [
+        (ghz_state, 2.5), (ghz_state, -1), (ghz_state, MAX_QUBITS + 1),
+        (w_state, 1.5), (w_state, MAX_QUBITS + 1),
+        (lambda n: basis_state(n, 0), 2.5), (lambda n: basis_state(n, 0), MAX_QUBITS + 1),
+    ])
+    def test_named_states_check_the_qubit_count(self, build, n):
+        # n is checked before a 2**n vector is built
+        message = f"n must be an integer in 1..{MAX_QUBITS}, got {n!r}"
+        with pytest.raises(ValueError, match=message):
+            build(n)
 
     def test_huge_finite_amplitudes_normalized(self):
         s = make_state(1, [1e200, 1e200])
