@@ -12,17 +12,19 @@ a restart freezes once its squared overlap changes by less than ``tol`` in a
 full sweep, or once another run of its state freezes at the state's gate.  A
 gated pass also stops, unconverged, each run that from sweep ``COARSE_SWEEPS``
 on lies below a frozen run of its own state; such a run, like one stopped by
-the sweep cap, reports ``converged`` false.  ``branches`` picks the distinct
-runs to Newton-polish, stopped runs included.
+the sweep cap ``MAX_ITERATIONS`` that every solve passes, reports
+``converged`` false.  ``branches`` picks the distinct runs to Newton-polish,
+stopped runs included.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# default sweep cap and freeze tolerance of every ALS solve: the ALS only finds the basin
-# and the Newton polish finishes it; a polish that stalls above POLISHED_RESIDUAL is not
-# converged, and its row is re-solved once
+# sweep cap and freeze tolerance of every ALS solve: the ALS only finds the basin and
+# the Newton polish finishes it; a polish that stalls above POLISHED_RESIDUAL is not
+# converged, and its row is re-solved once.  The cap is a termination guard, not a
+# budget: almost every coarse run freezes long before it, at the linear ALS rate
 MAX_ITERATIONS = 500
 COARSE_TOL = 1e-6
 POLISHED_RESIDUAL = 1e-10
@@ -97,7 +99,7 @@ def power_iteration(
     psis : (S, 2, ..., 2) complex array of S normalized n-qubit states.
     restarts : number of random starts per state; one extra deterministic
         basis start is always appended, so R = restarts + 1 runs per state.
-    max_iterations : sweep cap per run.
+    max_iterations : sweep cap per run; every solve passes ``MAX_ITERATIONS``.
     tol : freeze a run once its per-sweep change in squared overlap drops
         below this.
     seed : anything acceptable to ``numpy.random.default_rng``.

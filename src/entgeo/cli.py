@@ -99,7 +99,7 @@ def _resolve_state(args) -> PureState:
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(restarts=args.restarts, max_iterations=args.max_iters, seed=args.seed)
+    return SolverConfig(restarts=args.restarts, seed=args.seed)
 
 
 def _spinor_doc(spinor) -> list:
@@ -247,7 +247,7 @@ def _cmd_verify_theorem(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    return _DEMOS[args.name](args, SolverConfig(restarts=args.restarts, seed=args.seed))
+    return _DEMOS[args.name](args, _solver_config(args))
 
 
 def _demo_ghz(args, cfg: SolverConfig) -> int:
@@ -373,10 +373,9 @@ def _add_state_source(p: argparse.ArgumentParser):
                    help="ghz | w | dicke4 | canonical:a,b,c,d,h,gamma")
 
 
-def _add_solver_flags(p: argparse.ArgumentParser, restarts: int = SolverConfig.restarts):
-    p.add_argument("--restarts", type=int, default=restarts, metavar="N")
-    p.add_argument("--max-iters", type=int, default=SolverConfig.max_iterations, metavar="N",
-                   help="sweep cap of each alternating run; 4x N in the re-solve pass")
+def _add_solver_flags(p: argparse.ArgumentParser, restarts: int):
+    p.add_argument("--restarts", type=int, default=restarts, metavar="N",
+                   help=f"random starts per state, plus one basis start (default {restarts})")
     p.add_argument("--seed", type=int, default=0, metavar="N")
 
 
@@ -395,44 +394,40 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("overlap", help="maximal product overlap of a 2-8 qubit state")
     _add_state_source(p)
-    _add_solver_flags(p)
+    _add_solver_flags(p, SolverConfig.restarts)
     p.add_argument("--format", choices=("human", "structured"), default="human")
     p.set_defaults(func=_cmd_overlap)
 
     p = sub.add_parser("canonicalize", help="canonical form of a 3-qubit state")
     _add_state_source(p)
-    p.add_argument("--restarts", type=int, default=_CANON_RESTARTS, metavar="N")
-    p.add_argument("--seed", type=int, default=0, metavar="N")
+    _add_solver_flags(p, _CANON_RESTARTS)
     p.add_argument("--format", choices=("human", "structured"), default="human")
     p.set_defaults(func=_cmd_canonicalize)
 
     p = sub.add_parser("verify-theorem",
-                       help="check g^2 = 1/2 on sampled zero-Bloch states")
+                       help="check g^2 = 1/2 on sampled zero-Bloch states",
+                       description="A sample whose polish stalls, whose bracket against the "
+                                   "cut bound 1/2 stays open or that misses 1/2 is re-solved "
+                                   "once with 4x the restarts and the next seed.")
     p.add_argument("--family", choices=("quadrilateral", "h-nonzero", "both"),
                    default="both")
     p.add_argument("--samples", type=int, default=1000, metavar="N")
-    p.add_argument("--seed", type=int, default=0, metavar="N")
     p.add_argument("--tol", type=float, default=1e-7, metavar="X",
                    help="pass tolerance on |g^2 - 1/2|")
-    p.add_argument("--restarts", type=int, default=_THEOREM_SOLVER.restarts, metavar="N",
-                   help="restarts of the first pass; a sample whose polish stalls, whose "
-                        "bracket against the cut bound 1/2 stays open or that misses 1/2 "
-                        "is re-solved once with 4x the restarts and sweeps")
-    p.add_argument("--max-iters", type=int, default=SolverConfig.max_iterations, metavar="N")
+    _add_solver_flags(p, _THEOREM_SOLVER.restarts)
     p.add_argument("--format", choices=("human", "structured"), default="human")
     p.set_defaults(func=_cmd_verify_theorem)
 
     p = sub.add_parser("demo", help="reproduce the example families")
     p.add_argument("--name", required=True, choices=tuple(_DEMOS))
-    p.add_argument("--restarts", type=int, default=_EXAMPLE_SOLVER.restarts, metavar="N")
-    p.add_argument("--seed", type=int, default=0, metavar="N")
+    _add_solver_flags(p, _EXAMPLE_SOLVER.restarts)
     p.add_argument("--format", choices=("human", "structured"), default="human")
     p.set_defaults(func=_cmd_demo)
 
     p = sub.add_parser("inverse-search",
                        help="explore whether g^2 = 1/2 forces a zero Bloch vector")
     p.add_argument("--samples", type=int, default=200, metavar="N")
-    _add_solver_flags(p, restarts=_EXAMPLE_SOLVER.restarts)
+    _add_solver_flags(p, _EXAMPLE_SOLVER.restarts)
     p.add_argument("--format", choices=("human", "structured"), default="human")
     p.set_defaults(func=_cmd_inverse_search)
 

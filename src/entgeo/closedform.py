@@ -172,7 +172,7 @@ _QUAD_R_MARGIN = 1e-3
 
 def random_feasible_quadrilateral(seed=None) -> QuadrilateralParams:
     """Rejection-sample sides on which the closed form is well conditioned."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     while True:
         sides = np.abs(rng.normal(size=4))
         sides /= np.linalg.norm(sides)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import CanonicalParams, PureState, _readonly, _rho
+from .states import CanonicalParams, PureState, _readonly, _require_int, _rho, partial_trace_pair
 
 PAULIS = _readonly(
     np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
@@ -79,8 +79,7 @@ def _bloch_geometry(tensors: np.ndarray, first: int = 0, second: int = 1):
 
 def bloch_vector(s: PureState, q: int) -> np.ndarray:
     """(tr rho sigma_x, tr rho sigma_y, tr rho sigma_z) of qubit ``q``."""
-    if not 0 <= q < s.n_qubits:
-        raise ValueError(f"qubit index {q} out of range")
+    _require_int("q", q, 0, s.n_qubits - 1)
     return _bloch(_rho(s.tensor[None], [q]))[0]
 
 
@@ -90,12 +89,7 @@ def bloch_length(s: PureState, q: int) -> float:
 
 def correlation_matrix(s: PureState, q1: int, q2: int) -> np.ndarray:
     """G_ij = tr(rho_{q1 q2} sigma_i x sigma_j), a real 3x3 matrix."""
-    if q1 == q2:
-        raise ValueError("q1 and q2 must differ")
-    for q in (q1, q2):
-        if not 0 <= q < s.n_qubits:
-            raise ValueError(f"qubit index {q} out of range")
-    return _correlation(_rho(s.tensor[None], [q1, q2]))[0]
+    return _correlation(partial_trace_pair(s, q1, q2)[None])[0]
 
 
 def sextic_t_trace(s: PureState) -> float:

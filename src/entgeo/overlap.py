@@ -18,7 +18,7 @@ from . import _als
 from .invariants import _bloch_geometry
 from .states import ProductState, PureState, _cut_bound, _require_int
 
-_ESCALATION = 4  # the re-solve budget's factor on restarts and sweeps (``escalated()``)
+_ESCALATION = 4  # the re-solve budget's factor on restarts (``escalated()``)
 # a slow run of the best basin can freeze below a fast local maximum, so the
 # _BRANCHES best distinct runs within _BRANCH_WINDOW of a state's best are polished
 _BRANCHES = 2
@@ -30,31 +30,24 @@ class SolverConfig:
     """Multi-start solver knobs.
 
     ``restarts`` random initializations are run, plus one deterministic start
-    at the largest-magnitude basis amplitude, each for at most
-    ``max_iterations`` sweeps.  A restart freezes once its squared overlap
-    changes by less than ``_als.COARSE_TOL`` over a sweep, in both passes of
-    the overlap solve, and up to two distinct runs of each state within 1e-4
-    of its best are polished (``_best_polished``); the re-solve pass runs under
-    ``escalated()`` (see ``_solve_overlaps``).
+    at the largest-magnitude basis amplitude.  A restart freezes once its
+    squared overlap changes by less than ``_als.COARSE_TOL`` over a sweep, in
+    both passes of the overlap solve, or at the termination guard
+    ``_als.MAX_ITERATIONS``, and up to two distinct runs of each state within
+    1e-4 of its best are polished (``_best_polished``); the re-solve pass runs
+    under ``escalated()`` (see ``_solve_overlaps``).
     """
 
     restarts: int = 64
-    max_iterations: int = _als.MAX_ITERATIONS
     seed: int = 0
 
     def __post_init__(self):
         _require_int("restarts", self.restarts, 1)
-        _require_int("max_iterations", self.max_iterations, 1)
         _require_int("seed", self.seed, 0)
 
     def escalated(self) -> "SolverConfig":
-        """The budget for re-solving stragglers: 4x the restarts and sweeps and
-        the next seed."""
-        return SolverConfig(
-            restarts=_ESCALATION * self.restarts,
-            max_iterations=_ESCALATION * self.max_iterations,
-            seed=self.seed + 1,
-        )
+        """The budget for re-solving stragglers: 4x the restarts and the next seed."""
+        return SolverConfig(restarts=_ESCALATION * self.restarts, seed=self.seed + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,11 +150,12 @@ def _gauge_fix(spinor: np.ndarray) -> np.ndarray:
 
 def _best_polished(tensors: np.ndarray, cfg: SolverConfig, stop_at=None):
     """Best polished branch of ``cfg.restarts`` + 1 ALS runs frozen at
-    ``_als.COARSE_TOL`` (and gated at ``stop_at``) for each state, in the order
-    ``_solve_overlaps`` returns, with the (S,) gate flags last.  Of the runs
-    ``_als.branches`` picks, polished as one batch, a state keeps the best with
-    a residual <= ``_als.POLISHED_RESIDUAL``, else the least stalled one."""
-    run = _als.power_iteration(tensors, cfg.restarts, cfg.max_iterations, _als.COARSE_TOL,
+    ``_als.COARSE_TOL`` or ``_als.MAX_ITERATIONS`` sweeps (and gated at
+    ``stop_at``) for each state, in the order ``_solve_overlaps`` returns, with
+    the (S,) gate flags last.  Of the runs ``_als.branches`` picks, polished as
+    one batch, a state keeps the best with a residual <=
+    ``_als.POLISHED_RESIDUAL``, else the least stalled one."""
+    run = _als.power_iteration(tensors, cfg.restarts, _als.MAX_ITERATIONS, _als.COARSE_TOL,
                                cfg.seed, stop_at=stop_at)
     state, branch = _als.branches(run, _BRANCHES, _BRANCH_WINDOW)
     spinors, residual, g_squared = _als.polish_stationary(tensors[state],
@@ -231,7 +225,7 @@ def nearest_product_state(s: PureState, cfg: SolverConfig | None = None) -> Over
         g_squared=float(g_squared[0]),
         product=product,
         lagrange=lagrange,
-        restarts_used=cfg.restarts * (_ESCALATION if resolved else 1) + 1,
+        restarts_used=(cfg.escalated() if resolved else cfg).restarts + 1,
         iterations=int(sweeps[0]),
         converged=residual <= _als.POLISHED_RESIDUAL,
         stationarity_residual=residual,

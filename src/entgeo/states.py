@@ -138,8 +138,7 @@ def make_state(n: int, amplitudes) -> PureState:
 def basis_state(n: int, index: int) -> PureState:
     """Computational basis state |index> in the fixed bit ordering."""
     _require_int("n", n, 1, MAX_QUBITS)
-    if not 0 <= index < 2**n:
-        raise ValueError(f"basis index {index} out of range for {n} qubits")
+    _require_int("index", index, 0, 2**n - 1)
     amps = np.zeros(2**n, dtype=complex)
     amps[index] = 1.0
     return PureState(n, amps)
@@ -241,11 +240,13 @@ class LocalUnitary:
 
     @classmethod
     def identity(cls, n: int) -> "LocalUnitary":
+        _require_int("n", n, 1, MAX_QUBITS)
         return cls(tuple(np.eye(2, dtype=complex) for _ in range(n)))
 
     @classmethod
     def random(cls, n: int, seed=None) -> "LocalUnitary":
         """Independent Haar-random 2x2 unitaries on each qubit."""
+        _require_int("n", n, 1, MAX_QUBITS)
         rng = np.random.default_rng(seed)
         return cls(tuple(haar_unitary(rng) for _ in range(n)))
 
@@ -308,18 +309,16 @@ def _cut_bound(tensors: np.ndarray) -> np.ndarray:
 
 def partial_trace_single(s: PureState, q: int) -> np.ndarray:
     """2x2 reduced density matrix of qubit ``q``."""
-    if not 0 <= q < s.n_qubits:
-        raise ValueError(f"qubit index {q} out of range")
+    _require_int("q", q, 0, s.n_qubits - 1)
     return _rho(s.tensor[None], [q])[0]
 
 
 def partial_trace_pair(s: PureState, q1: int, q2: int) -> np.ndarray:
     """4x4 two-qubit reduced density matrix; ``q1`` is the more significant qubit."""
+    _require_int("q1", q1, 0, s.n_qubits - 1)
+    _require_int("q2", q2, 0, s.n_qubits - 1)
     if q1 == q2:
         raise ValueError("q1 and q2 must differ")
-    for q in (q1, q2):
-        if not 0 <= q < s.n_qubits:
-            raise ValueError(f"qubit index {q} out of range")
     return _rho(s.tensor[None], [q1, q2])[0]
 
 
@@ -329,9 +328,8 @@ def partial_trace_pair(s: PureState, q1: int, q2: int) -> np.ndarray:
 
 def haar_random_state(n: int, seed=None) -> PureState:
     """Haar-random pure state: normalized standard complex Gaussian amplitudes."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    _require_int("n", n, 1, MAX_QUBITS)
+    rng = np.random.default_rng(seed)
     z = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return PureState(n, z / np.linalg.norm(z))
 
@@ -386,9 +384,7 @@ def sample_zero_bloch_manifold(family, seed=None) -> CanonicalParams:
     kept above a small floor so the sampled states stay away from degenerate
     corners of the family.
     """
-    family = ZeroBlochFamily(family)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return _sample_zero_bloch(family, rng)
+    return _sample_zero_bloch(ZeroBlochFamily(family), np.random.default_rng(seed))
 
 
 # --------------------------------------------------------------------------
@@ -568,7 +564,7 @@ def canonicalize(
     Every stationary product state of the overlap with nonzero value yields a
     representative: the state read in the basis (e, perp(e)) of each qubit's
     spinor e.  The search runs ``restarts`` random starts (an integer >= 0)
-    plus one basis start under the default sweep cap, frozen at
+    plus one basis start under the sweep cap ``_als.MAX_ITERATIONS``, frozen at
     ``_als.COARSE_TOL`` and seeded with ``seed`` (an integer >= 0).  It drops
     each run whose Bloch vectors all lie within ``_als.BRANCH_RADIUS`` (1e-2)
     of an earlier run's in overlap order (``_als.branches``), Newton-polishes

@@ -18,15 +18,16 @@ class AlsPasses(list):
         """Check that the calls so far are one ``_solve_overlaps(psis, cfg,
         suspect)`` and return the rows it re-solved.
 
-        Pass 1 runs under ``cfg`` at ``_als.COARSE_TOL``, gated at each
-        state's cut bound less ``_als.GATE_MARGIN``.  Exactly the rows that
-        are stalled (polish above ``_als.POLISHED_RESIDUAL``), gated-open (gate
-        fired, cut bound still more than ``_als.CLOSED_GAP`` above g^2) or
-        ``suspect`` are re-solved, in one more ungated call under
-        ``cfg.escalated()``, also at ``_als.COARSE_TOL``; there is no third call.
+        Pass 1 runs under ``cfg`` at ``_als.COARSE_TOL`` and the sweep cap
+        ``_als.MAX_ITERATIONS``, gated at each state's cut bound less
+        ``_als.GATE_MARGIN``.  Exactly the rows that are stalled (polish above
+        ``_als.POLISHED_RESIDUAL``), gated-open (gate fired, cut bound still
+        more than ``_als.CLOSED_GAP`` above g^2) or ``suspect`` are re-solved,
+        in one more ungated call under ``cfg.escalated()``, at the same
+        tolerance and cap; there is no third call.
         """
         first = self[0]
-        assert first["budget"] == (cfg.restarts, cfg.max_iterations, _als.COARSE_TOL, cfg.seed)
+        assert first["budget"] == (cfg.restarts, _als.MAX_ITERATIONS, _als.COARSE_TOL, cfg.seed)
         upper = _cut_bound(first["psis"])
         assert np.array_equal(first["stop_at"], upper - _als.GATE_MARGIN)
         flagged = ~(first["residual"] <= _als.POLISHED_RESIDUAL)
@@ -37,7 +38,7 @@ class AlsPasses(list):
         assert len(self) == (2 if rows.size else 1)
         if rows.size:
             esc = cfg.escalated()
-            assert self[1]["budget"] == (esc.restarts, esc.max_iterations, _als.COARSE_TOL,
+            assert self[1]["budget"] == (esc.restarts, _als.MAX_ITERATIONS, _als.COARSE_TOL,
                                          esc.seed)
             assert self[1]["stop_at"] is None
             assert np.array_equal(self[1]["psis"], first["psis"][rows])
@@ -103,3 +104,23 @@ def als_passes(monkeypatch) -> AlsPasses:
 
     monkeypatch.setattr(_als, "power_iteration", recording)
     return passes
+
+
+# pass 1's sweeps under ``capped_pass_1``: too few for its runs to reach their
+# basins, so that states get re-solved
+PASS_1_SWEEPS = 3
+
+
+@pytest.fixture
+def capped_pass_1(monkeypatch):
+    """Stop every run of pass 1 of an overlap solve (its gated ALS call) after
+    ``PASS_1_SWEEPS`` sweeps; the ungated re-solve keeps the sweep cap it is
+    given.  Requested before ``als_passes``, it sits below the recorder, which
+    then records the budget the solver asked for."""
+    run = _als.power_iteration
+
+    def capped(psis, restarts, max_iterations, tol, seed, stop_at=None):
+        sweeps = max_iterations if stop_at is None else PASS_1_SWEEPS
+        return run(psis, restarts, sweeps, tol, seed, stop_at=stop_at)
+
+    monkeypatch.setattr(_als, "power_iteration", capped)

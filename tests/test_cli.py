@@ -227,8 +227,7 @@ class TestVerifyTheoremCommand:
 
     def test_default_budget_is_the_library_default(self):
         args = cli.build_parser().parse_args(["verify-theorem"])
-        assert args.restarts == _THEOREM_SOLVER.restarts
-        assert args.max_iters == _THEOREM_SOLVER.max_iterations
+        assert cli._solver_config(args) == _THEOREM_SOLVER
 
     def test_deterministic(self, capsys):
         args = ("verify-theorem", "--family", "quadrilateral", "--samples", "30",
@@ -254,6 +253,12 @@ class TestDemoCommand:
         for row in rows:
             alone = nearest_product_state(ghz_theta_state(row["theta"], row["n"]), cfg)
             assert row["numeric_g_squared"] == alone.g_squared
+
+    def test_solves_under_the_parsed_flags(self, monkeypatch):
+        budgets = []
+        monkeypatch.setitem(cli._DEMOS, "wn", lambda args, cfg: budgets.append(cfg) or 0)
+        assert main(["demo", "--name", "wn", "--restarts", "5", "--seed", "7"]) == 0
+        assert budgets == [SolverConfig(restarts=5, seed=7)]
 
     def test_dicke4(self, capsys):
         code, out, _ = run_cli(capsys, "demo", "--name", "dicke4")
@@ -335,6 +340,20 @@ class TestParserReuse:
 
 
 class TestParserDefaults:
+    SOLVING = (("overlap", "--builtin", "ghz"), ("canonicalize", "--builtin", "ghz"),
+               ("verify-theorem",), ("demo", "--name", "wn"), ("inverse-search",))
+
+    @pytest.mark.parametrize("argv", SOLVING, ids=lambda argv: argv[0])
+    def test_solving_subcommands_share_the_solver_flags(self, capsys, argv):
+        # --restarts and --seed everywhere; the sweep cap is no setting
+        parser = cli.build_parser()
+        args = parser.parse_args([*argv, "--restarts", "5", "--seed", "7"])
+        assert cli._solver_config(args) == SolverConfig(restarts=5, seed=7)
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([*argv, "--max-iters", "40"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-iters 40" in capsys.readouterr().err
+
     def test_restarts_are_the_library_defaults(self):
         parser = cli.build_parser()
 

@@ -40,8 +40,9 @@ from entgeo.invariants import _bloch_geometry
 from entgeo.states import ZeroBlochFamily, _rho, _sample_zero_bloch, _sample_zero_bloch_rows
 
 FAST = SolverConfig(restarts=16)
-# a budget too small for the first pass, so that samples get re-solved
-STRAGGLING = SolverConfig(restarts=2, max_iterations=3, seed=3)
+# with ``capped_pass_1`` a budget too small for the first pass, so that samples
+# get re-solved
+STRAGGLING = SolverConfig(restarts=2, seed=3)
 
 
 class TestQuadrilateralParams:
@@ -265,7 +266,7 @@ class TestTheoremCheck:
             assert report.closed_form_g_squared == pytest.approx(0.5, abs=1e-10)
             assert report.numeric_g_squared == pytest.approx(0.5, abs=1e-7)
 
-    def test_stragglers_rechecked(self):
+    def test_stragglers_rechecked(self, capped_pass_1):
         # the campaign's samples under a budget that leaves some off 1/2 at first
         rng = np.random.default_rng(11)
         for _ in range(100):
@@ -500,7 +501,7 @@ class TestBatchedResolve:
     def off_half(tolerance):
         return lambda g: np.abs(g - 0.5) > 0.5 * tolerance
 
-    def test_campaign_resolves_stragglers_in_one_batch(self, als_passes):
+    def test_campaign_resolves_stragglers_in_one_batch(self, capped_pass_1, als_passes):
         report = run_theorem_campaign("quadrilateral", 100, seed=11, solver=STRAGGLING)
         assert als_passes[0]["psis"].shape == (100, 2, 2, 2)
         # this budget leaves stragglers after the first pass; one batch re-solves them
@@ -522,7 +523,7 @@ class TestBatchedResolve:
         cfg = _THEOREM_SOLVER
         flagged = als_passes.resolved_rows(cfg, self.off_half(report.tolerance))
         assert als_passes[1]["budget"] == (
-            4 * cfg.restarts, 4 * cfg.max_iterations, _als.COARSE_TOL, cfg.seed + 1
+            4 * cfg.restarts, _als.MAX_ITERATIONS, _als.COARSE_TOL, cfg.seed + 1
         )
         assert report.rechecked == flagged.size > 0
         g2 = als_passes.answer("g_squared", flagged)
@@ -536,7 +537,7 @@ class TestBatchedResolve:
         rows = _sample_zero_bloch_rows(family, np.random.default_rng(4), 40)
         assert [theorem_check(CanonicalParams(*row)).numeric_g_squared for row in rows] == list(g2)
 
-    def test_theorem_check_resolves_a_straggler(self, als_passes):
+    def test_theorem_check_resolves_a_straggler(self, capped_pass_1, als_passes):
         rng = np.random.default_rng(11)
         p = [_sample_zero_bloch(ZeroBlochFamily.QUADRILATERAL, rng) for _ in range(2)][1]
         report = theorem_check(p, solver=STRAGGLING)

@@ -40,8 +40,18 @@ from entgeo import (
 import entgeo
 from entgeo import _als
 from entgeo.cli import build_parser
+from entgeo.closedform import _THEOREM_SOLVER, run_theorem_campaign
 from entgeo.overlap import _best_polished, _solve_overlaps
-from entgeo.states import ZeroBlochFamily, _cut_bound, _sample_zero_bloch
+from entgeo.states import (
+    _CANON_RESTARTS,
+    CanonicalParams,
+    ZeroBlochFamily,
+    _canonical_tensors,
+    _canonicalize,
+    _cut_bound,
+    _sample_zero_bloch,
+    _sample_zero_bloch_rows,
+)
 
 from oracles import grid_overlap_sq
 
@@ -171,7 +181,7 @@ class TestSolverContracts:
         with pytest.raises(ValueError):
             SolverConfig(restarts=0)
 
-    @pytest.mark.parametrize("field", ["restarts", "max_iterations"])
+    @pytest.mark.parametrize("field", ["restarts"])
     @pytest.mark.parametrize("bad", [0, -2, 2.5, True, "4", None])
     def test_config_integer_fields_named(self, field, bad):
         with pytest.raises(ValueError, match=f"{field} must be an integer >= 1, got {bad!r}"):
@@ -183,10 +193,9 @@ class TestSolverContracts:
             SolverConfig(seed=bad)
 
     def test_no_knobs_beyond_the_four_fields(self, capsys):
-        # the freeze tolerance and the re-solve threshold are constants, not settings
-        assert [f.name for f in dataclasses.fields(SolverConfig)] == [
-            "restarts", "max_iterations", "seed"
-        ]
+        # the freeze tolerance, the sweep cap and the re-solve threshold are
+        # constants, not settings
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == ["restarts", "seed"]
         parser = build_parser()
         for argv in (["overlap", "--builtin", "ghz"], ["inverse-search"]):
             with pytest.raises(SystemExit) as exc:
@@ -201,7 +210,7 @@ class TestSolverContracts:
             assert not re.search(r"\b(environ|getenv)\b", path.read_text()), path.name
 
     def test_config_accepts_numpy_scalars(self):
-        cfg = SolverConfig(restarts=np.int64(3), max_iterations=np.int32(40), seed=np.uint8(2))
+        cfg = SolverConfig(restarts=np.int64(3), seed=np.uint8(2))
         assert nearest_product_state(ghz_state(3), cfg).g_squared == pytest.approx(0.5, abs=1e-12)
 
 
@@ -253,7 +262,7 @@ class TestDominanceStop:
         tensors = np.stack([s.tensor for s in states])
         cfg = SolverConfig(restarts=16, seed=3)
         stop_at = _cut_bound(tensors) - _als.GATE_MARGIN
-        run = _als.power_iteration(tensors, cfg.restarts, cfg.max_iterations, _als.COARSE_TOL,
+        run = _als.power_iteration(tensors, cfg.restarts, _als.MAX_ITERATIONS, _als.COARSE_TOL,
                                    cfg.seed, stop_at=stop_at)
         stopped = ~run["converged"] & (run["iterations"] >= _als.COARSE_SWEEPS)
         assert np.flatnonzero(stopped.any(axis=1)).tolist() == [0, 1, 3, 4]
@@ -261,7 +270,7 @@ class TestDominanceStop:
         batch = _solve_overlaps(tensors, cfg)
         assert batch[4] == 0
         for i in range(len(states)):
-            one = _als.power_iteration(tensors[i : i + 1], cfg.restarts, cfg.max_iterations,
+            one = _als.power_iteration(tensors[i : i + 1], cfg.restarts, _als.MAX_ITERATIONS,
                                        _als.COARSE_TOL, cfg.seed, stop_at=stop_at[i : i + 1])
             for key in ("g_squared", "iterations", "converged", "gated"):
                 assert np.array_equal(run[key][i], one[key][0])
@@ -270,6 +279,81 @@ class TestDominanceStop:
             for whole, part in zip((batch[0], *batch[1], *batch[2:4], batch[5]),
                                    (alone[0], *alone[1], *alone[2:4], alone[5])):
                 assert np.array_equal(whole[i], part[0])
+
+
+def _record_runs(monkeypatch) -> list:
+    """Patch ``_als.power_iteration`` to append each call's sweep cap, gate
+    flag (pass 1 of an overlap solve) and (S, R) sweeps to the returned list."""
+    calls, run = [], _als.power_iteration
+
+    def recording(psis, restarts, max_iterations, tol, seed, stop_at=None):
+        out = run(psis, restarts, max_iterations, tol, seed, stop_at=stop_at)
+        calls.append((max_iterations, stop_at is not None, out["iterations"]))
+        return out
+
+    monkeypatch.setattr(_als, "power_iteration", recording)
+    return calls
+
+
+class TestSweepGuard:
+    """``_als.MAX_ITERATIONS`` is the one sweep cap of every solve, a guard
+    against runs that do not terminate, not a budget."""
+
+    @staticmethod
+    def near_manifold(count, seed):
+        """Zero-Bloch samples of both families with d moved by +-1e-3 or +-1e-2."""
+        rng = np.random.default_rng(seed)
+        rows = np.concatenate([_sample_zero_bloch_rows(f, rng, count // 2) for f in ZeroBlochFamily])
+        rows[:, 3] += rng.choice([-1e-2, -1e-3, 1e-3, 1e-2], size=len(rows))
+        rows[:, :5] /= np.linalg.norm(rows[:, :5], axis=1, keepdims=True)
+        return _canonical_tensors(rows)
+
+    def test_no_run_reaches_the_cap(self, monkeypatch):
+        # a change that slows the ALS fails here instead of capping runs silently
+        calls = _record_runs(monkeypatch)
+        resolved = []
+        for family in ZeroBlochFamily:
+            report = run_theorem_campaign(family, 100, seed=0)
+            assert report.passed
+            resolved.append(report.rechecked)
+        for n in range(3, 9):
+            states = [haar_random_state(n, seed=k) for k in range(10)]
+            states += [apply_local_unitary(named(n), LocalUnitary.random(n, seed=k))
+                       for named in (ghz_state, w_state) for k in range(5)]
+            resolved.append(_solve_overlaps(np.stack([s.tensor for s in states]),
+                                            SolverConfig())[4])
+        near = self.near_manifold(50, seed=0)
+        resolved += [_solve_overlaps(near, cfg)[4] for cfg in (SolverConfig(), _THEOREM_SOLVER)]
+        # criterion-8 samples 117 and 140 stall in pass 1 and are re-solved
+        rng = np.random.default_rng(7)
+        quads = [random_feasible_quadrilateral(rng).to_state().tensor for _ in range(500)]
+        resolved.append(_solve_overlaps(np.stack(quads), FAST)[4])
+        _canonicalize(np.stack([haar_random_state(3, seed=k).tensor for k in range(10)]),
+                      _CANON_RESTARTS, 0)
+        assert {cap for cap, _, _ in calls} == {_als.MAX_ITERATIONS}
+        assert max(sweeps.max() for _, _, sweeps in calls) < _als.MAX_ITERATIONS
+        assert resolved == [0] * 10 + [2]  # the re-solve pass ran too
+
+    # a near-manifold sample (h-nonzero family, d moved by -1e-3) whose pass-1
+    # polish stalls: 7 of the 257 runs of its re-solve creep on past the cap,
+    # up to 673 sweeps under a 4x cap, but its answer freezes at sweep 102
+    SLOW_RESOLVE = CanonicalParams(a=0.05685733477689396, b=0.7027516877867291, c=0.0,
+                                   d=0.7066062504813512, h=0.06012416798308013, gamma=0.0)
+
+    def test_capped_runs_leave_the_answer(self, monkeypatch):
+        tensors = canonical_to_state(self.SLOW_RESOLVE).tensor[None]
+        calls = _record_runs(monkeypatch)
+        guarded = _solve_overlaps(tensors, SolverConfig())
+        assert guarded[3][0] == 102 and guarded[4] == 1
+        assert (calls[1][2] == _als.MAX_ITERATIONS).sum() == 7
+        # the cap is read at call time, by both passes
+        cap = _als.MAX_ITERATIONS
+        monkeypatch.setattr(_als, "MAX_ITERATIONS", 4 * cap)
+        free = _solve_overlaps(tensors, SolverConfig())
+        assert [c for c, _, _ in calls] == [cap, cap, 4 * cap, 4 * cap]
+        assert calls[3][2].max() == 673
+        for a, b in zip(guarded, free):
+            assert np.array_equal(a, b)
 
 
 # at 16 restarts the runs of this state's best basin freeze 6e-6 below the
@@ -421,12 +505,12 @@ class TestStationarityResidual:
         lam1, lam2 = result.lagrange
         assert stationarity_residual(s, x, y, lam1, lam2) <= 1e-8
 
-    def test_converged_means_the_polish_finished(self):
-        # three sweeps stop every run at the cap, but the polish of the best one
+    def test_converged_means_the_polish_finished(self, capped_pass_1, als_passes):
+        # three sweeps stop every pass-1 run, but the polish of the best one
         # reaches the stationary point, so the answer is converged
-        result = nearest_product_state(
-            haar_random_state(3, seed=1), SolverConfig(restarts=4, max_iterations=3)
-        )
+        cfg = SolverConfig(restarts=4)
+        result = nearest_product_state(haar_random_state(3, seed=1), cfg)
+        assert als_passes.resolved_rows(cfg).size == 0
         assert result.iterations == 3
         assert result.stationarity_residual <= 1e-13
         assert result.converged
@@ -656,7 +740,7 @@ def assert_best_polished(tensors, cfg):
     same starts, each polished, to 1e-12, and its product reproduces its g^2,
     which is returned."""
     g2, spinors = _solve_overlaps(tensors, cfg)[:2]
-    run = _als.power_iteration(tensors, cfg.restarts, cfg.max_iterations, 1e-13, cfg.seed)
+    run = _als.power_iteration(tensors, cfg.restarts, _als.MAX_ITERATIONS, 1e-13, cfg.seed)
     every_run = [sp.reshape(-1, 2) for sp in run["spinors"]]
     repeated = np.repeat(tensors, cfg.restarts + 1, axis=0)
     polished = _als.polish_stationary(repeated, every_run)[2].reshape(len(tensors), -1)
@@ -667,10 +751,10 @@ def assert_best_polished(tensors, cfg):
     return g2
 
 
-def _best_runs(tensors, cfg):
-    """Each state's best ALS run, frozen at ``_als.COARSE_TOL``, as n arrays (S, 2)."""
-    run = _als.power_iteration(tensors, cfg.restarts, cfg.max_iterations, _als.COARSE_TOL,
-                               cfg.seed)
+def _best_runs(tensors, restarts, sweeps=_als.MAX_ITERATIONS):
+    """Each state's best of ``restarts`` + 1 ALS runs at seed 0, frozen at
+    ``_als.COARSE_TOL`` or stopped after ``sweeps``, as n arrays (S, 2)."""
+    run = _als.power_iteration(tensors, restarts, sweeps, _als.COARSE_TOL, 0)
     best = np.argmax(run["g_squared"], axis=1)
     return [sp[np.arange(len(tensors)), best] for sp in run["spinors"]]
 
@@ -726,7 +810,7 @@ class TestSolvePath:
     def test_polish_reaches_machine_precision(self, n):
         states = [haar_random_state(n, seed=100 * n + seed) for seed in range(3)]
         tensors = np.stack([s.tensor for s in states])
-        polished, residual, g2 = _als.polish_stationary(tensors, _best_runs(tensors, FAST))
+        polished, residual, g2 = _als.polish_stationary(tensors, _best_runs(tensors, FAST.restarts))
         assert residual.max() <= 1e-13
         for i, s in enumerate(states):
             spinors = [sp[i] for sp in polished]
@@ -741,7 +825,7 @@ class TestSolvePath:
         states.append(w_state(n))
         states.append(basis_state(n, 5))
         tensors = np.stack([s.tensor for s in states])
-        starts = _best_runs(tensors, SolverConfig(restarts=4, max_iterations=30))
+        starts = _best_runs(tensors, 4, sweeps=30)
         spinors, residual, g2 = _als.polish_stationary(tensors, starts)
         assert residual[-1] == 0.0 and g2[-1] == pytest.approx(1.0, abs=1e-15)
         assert residual.max() <= 1e-12
@@ -758,7 +842,7 @@ class TestSolvePath:
         bell = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex) / np.sqrt(2.0)
         haar = haar_random_state(2, seed=8).tensor
         tensors = np.stack([bell, haar])
-        starts = _best_runs(tensors, SolverConfig(restarts=4, max_iterations=5))
+        starts = _best_runs(tensors, 4, sweeps=5)
         for sp in starts:
             sp[0] = [1.0, 0.0]
         spinors, residual, g2 = _als.polish_stationary(tensors, starts)
@@ -784,7 +868,8 @@ class TestSolvePath:
         assert np.array_equal(sweeps, als_passes.answer("sweeps", redo))
         assert np.array_equal(g2, als_passes.answer("g_squared", redo))
         assert np.array_equal(residual, als_passes.answer("residual", redo))
-        tight = _als.power_iteration(tensors, cfg.restarts, cfg.max_iterations, 1e-13, cfg.seed)
+        tight = _als.power_iteration(tensors, cfg.restarts, _als.MAX_ITERATIONS, 1e-13,
+                                     cfg.seed)
         assert np.abs(g2 - tight["g_squared"].max(axis=1)).max() <= 1e-12
         for i, s in enumerate(states):
             product = ProductState(tuple(sp[i] for sp in spinors))
@@ -881,7 +966,7 @@ class TestSolvePath:
         g2, _, residual, _, resolved, _ = _solve_overlaps(tensors, FAST)
         assert resolved == len(states) and residual.max() <= accepted
         esc = FAST.escalated()
-        tight = _als.power_iteration(tensors, esc.restarts, esc.max_iterations, 1e-13, esc.seed)
+        tight = _als.power_iteration(tensors, esc.restarts, _als.MAX_ITERATIONS, 1e-13, esc.seed)
         best = np.argmax(tight["g_squared"], axis=1)
         starts = tight["spinors"][:, np.arange(len(states)), best]
         assert np.abs(g2 - _als.polish_stationary(tensors, starts)[2]).max() <= 1e-12
@@ -908,5 +993,5 @@ class TestSolvePath:
         assert_best_polished(s.tensor[None], FAST)
 
     def test_escalated(self):
-        cfg = SolverConfig(restarts=16, max_iterations=500, seed=3).escalated()
-        assert (cfg.restarts, cfg.max_iterations, cfg.seed) == (64, 2000, 4)
+        cfg = SolverConfig(restarts=16, seed=3).escalated()
+        assert (cfg.restarts, cfg.seed) == (64, 4)

@@ -1,6 +1,7 @@
 """Tests for state construction, partial traces, sampling and file I/O."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from entgeo import (
     state_to_dict,
     w_state,
 )
-from entgeo.invariants import bloch_length, canonical_bloch_vectors
+from entgeo.invariants import bloch_length, bloch_vector, canonical_bloch_vectors, correlation_matrix
 from entgeo.states import (
     MAX_QUBITS,
     _canonical_tensors,
@@ -100,6 +101,20 @@ class TestMakeState:
         # n is checked before a 2**n vector is built
         message = f"n must be an integer in 1..{MAX_QUBITS}, got {n!r}"
         with pytest.raises(ValueError, match=message):
+            build(n)
+
+    @pytest.mark.parametrize("bad", [True, 2.5, -1, 8])
+    def test_basis_index_checked(self, bad):
+        # a bool would index every amplitude, a float fail inside numpy
+        with pytest.raises(ValueError, match=re.escape(f"index must be an integer in 0..7, got {bad!r}")):
+            basis_state(3, bad)
+
+    @pytest.mark.parametrize("build", [haar_random_state, LocalUnitary.identity,
+                                       LocalUnitary.random])
+    @pytest.mark.parametrize("n", [2.5, 0, MAX_QUBITS + 1])
+    def test_sampled_qubit_count_checked_first(self, build, n):
+        message = f"n must be an integer in 1..{MAX_QUBITS}, got {n!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             build(n)
 
     def test_huge_finite_amplitudes_normalized(self):
@@ -254,6 +269,20 @@ class TestPartialTraces:
             partial_trace_single(ghz_state(3), 3)
         with pytest.raises(ValueError):
             partial_trace_pair(ghz_state(3), 1, 1)
+
+    @pytest.mark.parametrize("bad", [1.5, True, -1, 3])
+    @pytest.mark.parametrize("name, read", [
+        ("q", partial_trace_single), ("q", bloch_vector), ("q", bloch_length),
+        ("q1", lambda s, q: partial_trace_pair(s, q, 1)),
+        ("q2", lambda s, q: partial_trace_pair(s, 1, q)),
+        ("q1", lambda s, q: correlation_matrix(s, q, 1)),
+        ("q2", lambda s, q: correlation_matrix(s, 1, q)),
+    ], ids=["single", "bloch_vector", "bloch_length", "pair_q1", "pair_q2", "corr_q1", "corr_q2"])
+    def test_qubit_arguments_checked(self, name, read, bad):
+        # a bool is no qubit index, even where it equals one
+        message = f"{name} must be an integer in 0..2, got {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read(ghz_state(3), bad)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_cut_bound_is_the_least_mixed_qubit(self, n):
@@ -446,6 +475,20 @@ class TestStateFiles:
         with pytest.raises(StateFormatError, match=r"amplitudes\[1\] is not finite") as err:
             state_from_dict(doc, allow_unnormalized=True)
         assert err.value.field == "amplitudes"
+
+    @pytest.mark.parametrize("bad", [True, 2.5, -1, 8])
+    def test_basis_index_checked(self, bad):
+        # a bool would index every amplitude, a float fail inside numpy
+        with pytest.raises(ValueError, match=re.escape(f"index must be an integer in 0..7, got {bad!r}")):
+            basis_state(3, bad)
+
+    @pytest.mark.parametrize("build", [haar_random_state, LocalUnitary.identity,
+                                       LocalUnitary.random])
+    @pytest.mark.parametrize("n", [2.5, 0, MAX_QUBITS + 1])
+    def test_sampled_qubit_count_checked_first(self, build, n):
+        message = f"n must be an integer in 1..{MAX_QUBITS}, got {n!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build(n)
 
     def test_huge_finite_amplitudes_normalized(self):
         doc = {"n_qubits": 1, "amplitudes": [[3e300, 0.0], [0.0, 4e300]]}
