@@ -7,12 +7,14 @@ replaced by the normalized contraction of the state against all other current
 spinors, which is monotonically non-decreasing in the overlap.  Each
 contraction is a chain of stacked ``matmul`` calls, one qubit axis at a time,
 on right environments cached once per sweep.  Many independent restarts (and
-states) are iterated as one flat batch, their spinors one (n, rows, 2) block;
-a restart freezes once its squared overlap changes by less than ``tol`` in a
-full sweep, or once another run of its state freezes at the state's gate.  A
-gated pass also stops, unconverged, each run that from sweep ``COARSE_SWEEPS``
-on lies below a frozen run of its own state; such a run, like one stopped by
-the sweep cap ``MAX_ITERATIONS`` that every solve passes, reports
+states) are iterated as one flat batch, their spinors one (n, rows, 2) block.
+
+Every call runs under one budget, which its callers neither choose nor see:
+a restart freezes once its squared overlap changes by less than
+``COARSE_TOL`` in a full sweep, or once another run of its state freezes at
+the state's gate.  A gated pass also stops, unconverged, each run that from
+sweep ``COARSE_SWEEPS`` on lies below a frozen run of its own state; such a
+run, like one stopped by the sweep cap ``MAX_ITERATIONS``, reports
 ``converged`` false.  ``branches`` picks the distinct runs to Newton-polish,
 stopped runs included.
 """
@@ -79,29 +81,21 @@ def _initial_spinors(psis: np.ndarray, restarts: int, seed) -> np.ndarray:
     return spinors
 
 
-def power_iteration(
-    psis: np.ndarray,
-    restarts: int,
-    max_iterations: int,
-    tol: float,
-    seed,
-    stop_at=None,
-):
+def power_iteration(psis: np.ndarray, restarts: int, seed, stop_at=None):
     """Run the alternating update for a batch of states.
 
-    Each sweep caches the right environments with one stacked ``matmul`` per
-    trailing axis and reaches qubit q through q more on the leading axes.
-    Each update is normalised on the real view of its two amplitudes; a run
-    whose contraction vanishes exactly keeps its spinor.
+    A run freezes once its squared overlap moves by less than ``COARSE_TOL``
+    in a sweep, or after ``MAX_ITERATIONS`` sweeps; both constants are read at
+    call time.  Each sweep caches the right environments with one stacked
+    ``matmul`` per trailing axis and reaches qubit q through q more on the
+    leading axes.  Each update is normalised on the real view of its two
+    amplitudes; a run whose contraction vanishes exactly keeps its spinor.
 
     Parameters
     ----------
     psis : (S, 2, ..., 2) complex array of S normalized n-qubit states.
     restarts : number of random starts per state; one extra deterministic
         basis start is always appended, so R = restarts + 1 runs per state.
-    max_iterations : sweep cap per run; every solve passes ``MAX_ITERATIONS``.
-    tol : freeze a run once its per-sweep change in squared overlap drops
-        below this.
     seed : anything acceptable to ``numpy.random.default_rng``.
     stop_at : optional (S,) gate values.  At the first sweep where one of
         state s's own runs freezes with a squared overlap >= stop_at[s], all
@@ -137,7 +131,7 @@ def power_iteration(
     gated = np.zeros(n_states, dtype=bool)
     cur_stop = None if stop_at is None else np.repeat(stop_at, n_runs)
 
-    for sweep in range(1, max_iterations + 1):
+    for sweep in range(1, MAX_ITERATIONS + 1):
         rows = index.size
         # right[q]: conj(psi) with the spinors of qubits q+1..n-1 on its trailing axes
         right = [None] * (n - 1) + [cur_psi]
@@ -153,9 +147,9 @@ def power_iteration(
             norm = np.sqrt(np.einsum("ti,ti->t", vc, vc))
             np.divide(vc, norm[:, None], out=cur[q].view(float), where=(norm > 1e-300)[:, None])
         new_g2 = norm**2
-        conv = np.abs(new_g2 - cur_g2) < tol
+        conv = np.abs(new_g2 - cur_g2) < COARSE_TOL
         cur_g2 = new_g2
-        done = conv if sweep < max_iterations else np.ones(index.size, dtype=bool)
+        done = conv if sweep < MAX_ITERATIONS else np.ones(index.size, dtype=bool)
         if cur_stop is not None and sweep >= COARSE_SWEEPS:
             # out_g2 holds the runs frozen in earlier sweeps and 0 for the live ones
             best_frozen = out_g2.reshape(n_states, n_runs)[index // n_runs].max(axis=1)

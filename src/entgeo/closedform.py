@@ -431,29 +431,12 @@ class CampaignReport:
         return not self.failures
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "samples": self.samples,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "max_g2_error": self.max_g2_error,
-            "max_abs_t": self.max_abs_t,
-            "max_zero_mode_residual": self.max_zero_mode_residual,
-            "max_singular_value_error": self.max_singular_value_error,
-            "rechecked": self.rechecked,
-            "max_bracket_gap": self.max_bracket_gap,
-            "passed": self.passed,
-            "failures": [
-                {
-                    "index": f.index,
-                    "params": {
-                        k: v for k, v in zip(("a", "b", "c", "d", "h", "gamma"), f.params)
-                    },
-                    "numeric_g_squared": f.numeric_g_squared,
-                }
-                for f in self.failures
-            ],
-        }
+        out = asdict(self)
+        failures = out.pop("failures")
+        out["passed"] = self.passed
+        names = ("a", "b", "c", "d", "h", "gamma")
+        out["failures"] = [{**f, "params": dict(zip(names, f["params"]))} for f in failures]
+        return out
 
 
 def _require_sample_count(n_samples, minimum: int) -> None:

@@ -30,12 +30,10 @@ class SolverConfig:
     """Multi-start solver knobs.
 
     ``restarts`` random initializations are run, plus one deterministic start
-    at the largest-magnitude basis amplitude.  A restart freezes once its
-    squared overlap changes by less than ``_als.COARSE_TOL`` over a sweep, in
-    both passes of the overlap solve, or at the termination guard
-    ``_als.MAX_ITERATIONS``, and up to two distinct runs of each state within
-    1e-4 of its best are polished (``_best_polished``); the re-solve pass runs
-    under ``escalated()`` (see ``_solve_overlaps``).
+    at the largest-magnitude basis amplitude, each under the ALS budget of
+    ``_als``, and up to two distinct runs of each state within 1e-4 of its
+    best are polished (``_best_polished``); the re-solve pass runs under
+    ``escalated()`` (see ``_solve_overlaps``).
     """
 
     restarts: int = 64
@@ -100,7 +98,7 @@ def geometric_measure(g_squared: float) -> float:
     """Entanglement measure -ln(g^2) of a squared maximal product overlap."""
     if not 0.0 < g_squared <= 1.0 + 1e-12:
         raise ValueError(f"g_squared must lie in (0, 1], got {g_squared}")
-    return float(-math.log(min(g_squared, 1.0)))
+    return 0.0 - math.log(min(g_squared, 1.0))  # +0.0, not -0.0, at g^2 = 1
 
 
 def quarter_form(x, y, bloch_a, bloch_b, corr) -> float:
@@ -149,14 +147,12 @@ def _gauge_fix(spinor: np.ndarray) -> np.ndarray:
 
 
 def _best_polished(tensors: np.ndarray, cfg: SolverConfig, stop_at=None):
-    """Best polished branch of ``cfg.restarts`` + 1 ALS runs frozen at
-    ``_als.COARSE_TOL`` or ``_als.MAX_ITERATIONS`` sweeps (and gated at
+    """Best polished branch of ``cfg.restarts`` + 1 ALS runs (gated at
     ``stop_at``) for each state, in the order ``_solve_overlaps`` returns, with
     the (S,) gate flags last.  Of the runs ``_als.branches`` picks, polished as
     one batch, a state keeps the best with a residual <=
     ``_als.POLISHED_RESIDUAL``, else the least stalled one."""
-    run = _als.power_iteration(tensors, cfg.restarts, _als.MAX_ITERATIONS, _als.COARSE_TOL,
-                               cfg.seed, stop_at=stop_at)
+    run = _als.power_iteration(tensors, cfg.restarts, cfg.seed, stop_at=stop_at)
     state, branch = _als.branches(run, _BRANCHES, _BRANCH_WINDOW)
     spinors, residual, g_squared = _als.polish_stationary(tensors[state],
                                                           run["spinors"][:, state, branch])
@@ -170,7 +166,7 @@ def _best_polished(tensors: np.ndarray, cfg: SolverConfig, stop_at=None):
 def _solve_overlaps(tensors: np.ndarray, cfg: SolverConfig, suspect=None):
     """Best polished ALS run for each state of an (S, 2, ..., 2) batch.
 
-    Both passes freeze the runs at ``_als.COARSE_TOL``: ALS only has to find
+    Both passes run the ALS under the budget of ``_als``: it only has to find
     the basin, and the Newton polish of each state's best distinct runs
     (``_best_polished``) finishes it quadratically.  Pass 1 is also gated by
     the one-qubit cut bound ``upper`` (``states._cut_bound``): a state's runs

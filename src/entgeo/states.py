@@ -273,6 +273,8 @@ def apply_local_unitary(s: PureState, u: LocalUnitary) -> PureState:
 def permute_qubits(s: PureState, perm) -> PureState:
     """Relabel qubits: new qubit k is old qubit ``perm[k]``."""
     perm = tuple(perm)
+    for i, k in enumerate(perm):
+        _require_int(f"perm[{i}]", k, 0, s.n_qubits - 1)
     if sorted(perm) != list(range(s.n_qubits)):
         raise ValueError(f"perm must be a permutation of 0..{s.n_qubits - 1}")
     return PureState(s.n_qubits, np.transpose(s.tensor, perm).reshape(-1))
@@ -564,8 +566,8 @@ def canonicalize(
     Every stationary product state of the overlap with nonzero value yields a
     representative: the state read in the basis (e, perp(e)) of each qubit's
     spinor e.  The search runs ``restarts`` random starts (an integer >= 0)
-    plus one basis start under the sweep cap ``_als.MAX_ITERATIONS``, frozen at
-    ``_als.COARSE_TOL`` and seeded with ``seed`` (an integer >= 0).  It drops
+    plus one basis start under the ALS budget of ``_als``, seeded with
+    ``seed`` (an integer >= 0).  It drops
     each run whose Bloch vectors all lie within ``_als.BRANCH_RADIUS`` (1e-2)
     of an earlier run's in overlap order (``_als.branches``), Newton-polishes
     the remaining runs as one batch, keeps the branches within 1e-5 of the
@@ -595,7 +597,7 @@ def _canonicalize(tensors: np.ndarray, restarts: int, seed) -> list:
     """``canonicalize`` of every state of an (S, 2, 2, 2) batch, unvalidated, as
     a list of (params, unitaries): one ALS over the batch, one polish and one
     gauge fix of the branches of every state."""
-    run = _als.power_iteration(tensors, restarts, _als.MAX_ITERATIONS, _als.COARSE_TOL, seed)
+    run = _als.power_iteration(tensors, restarts, seed)
     state, branch = _als.branches(run)
     psis, starts = tensors[state], run["spinors"][:, state, branch]
     polished, _, overlaps = _als.polish_stationary(psis, starts)

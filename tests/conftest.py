@@ -1,4 +1,7 @@
-"""Shared fixtures: a recorder of the ALS passes behind an overlap solve."""
+"""Shared fixtures: a recorder of the ALS passes behind an overlap solve, and
+a context that sets the ALS budget for a block."""
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -7,9 +10,25 @@ from entgeo import _als, overlap
 from entgeo.states import _cut_bound
 
 
+@contextmanager
+def als_budget(tol=None, sweeps=None):
+    """Within the block, every ``_als.power_iteration`` call freezes its runs
+    at ``tol`` (``_als.COARSE_TOL``) and caps them at ``sweeps``
+    (``_als.MAX_ITERATIONS``), each where given; both are restored after."""
+    saved = _als.COARSE_TOL, _als.MAX_ITERATIONS
+    if tol is not None:
+        _als.COARSE_TOL = tol
+    if sweeps is not None:
+        _als.MAX_ITERATIONS = sweeps
+    try:
+        yield
+    finally:
+        _als.COARSE_TOL, _als.MAX_ITERATIONS = saved
+
+
 class AlsPasses(list):
     """``_als.power_iteration`` calls in call order, each a dict with its
-    ``psis``, its ``budget`` (restarts, max_iterations, tol, seed), its
+    ``psis``, its ``budget`` (restarts, seed), its
     ``stop_at`` gate values (None when ungated), its ``gated`` states, and the
     ``g_squared``, ``residual`` and ``sweeps`` of each state's answer after the
     Newton polish (``polished_branches``)."""
@@ -18,16 +37,15 @@ class AlsPasses(list):
         """Check that the calls so far are one ``_solve_overlaps(psis, cfg,
         suspect)`` and return the rows it re-solved.
 
-        Pass 1 runs under ``cfg`` at ``_als.COARSE_TOL`` and the sweep cap
-        ``_als.MAX_ITERATIONS``, gated at each state's cut bound less
+        Pass 1 runs under ``cfg``, gated at each state's cut bound less
         ``_als.GATE_MARGIN``.  Exactly the rows that are stalled (polish above
         ``_als.POLISHED_RESIDUAL``), gated-open (gate fired, cut bound still
         more than ``_als.CLOSED_GAP`` above g^2) or ``suspect`` are re-solved,
-        in one more ungated call under ``cfg.escalated()``, at the same
-        tolerance and cap; there is no third call.
+        in one more ungated call under ``cfg.escalated()``; there is no third
+        call.
         """
         first = self[0]
-        assert first["budget"] == (cfg.restarts, _als.MAX_ITERATIONS, _als.COARSE_TOL, cfg.seed)
+        assert first["budget"] == (cfg.restarts, cfg.seed)
         upper = _cut_bound(first["psis"])
         assert np.array_equal(first["stop_at"], upper - _als.GATE_MARGIN)
         flagged = ~(first["residual"] <= _als.POLISHED_RESIDUAL)
@@ -38,8 +56,7 @@ class AlsPasses(list):
         assert len(self) == (2 if rows.size else 1)
         if rows.size:
             esc = cfg.escalated()
-            assert self[1]["budget"] == (esc.restarts, _als.MAX_ITERATIONS, _als.COARSE_TOL,
-                                         esc.seed)
+            assert self[1]["budget"] == (esc.restarts, esc.seed)
             assert self[1]["stop_at"] is None
             assert np.array_equal(self[1]["psis"], first["psis"][rows])
         return rows
@@ -88,12 +105,12 @@ def als_passes(monkeypatch) -> AlsPasses:
     passes = AlsPasses()
     run = _als.power_iteration
 
-    def recording(psis, restarts, max_iterations, tol, seed, stop_at=None):
-        out = run(psis, restarts, max_iterations, tol, seed, stop_at=stop_at)
+    def recording(psis, restarts, seed, stop_at=None):
+        out = run(psis, restarts, seed, stop_at=stop_at)
         g2, residual, sweeps = polished_branches(psis, out)
         passes.append({
             "psis": psis,
-            "budget": (restarts, max_iterations, tol, seed),
+            "budget": (restarts, seed),
             "stop_at": stop_at,
             "gated": out["gated"],
             "g_squared": g2,
@@ -114,13 +131,12 @@ PASS_1_SWEEPS = 3
 @pytest.fixture
 def capped_pass_1(monkeypatch):
     """Stop every run of pass 1 of an overlap solve (its gated ALS call) after
-    ``PASS_1_SWEEPS`` sweeps; the ungated re-solve keeps the sweep cap it is
-    given.  Requested before ``als_passes``, it sits below the recorder, which
-    then records the budget the solver asked for."""
+    ``PASS_1_SWEEPS`` sweeps; the ungated re-solve keeps ``_als.MAX_ITERATIONS``.
+    Requested before ``als_passes``, it sits below the recorder."""
     run = _als.power_iteration
 
-    def capped(psis, restarts, max_iterations, tol, seed, stop_at=None):
-        sweeps = max_iterations if stop_at is None else PASS_1_SWEEPS
-        return run(psis, restarts, sweeps, tol, seed, stop_at=stop_at)
+    def capped(psis, restarts, seed, stop_at=None):
+        with als_budget(sweeps=None if stop_at is None else PASS_1_SWEEPS):
+            return run(psis, restarts, seed, stop_at=stop_at)
 
     monkeypatch.setattr(_als, "power_iteration", capped)

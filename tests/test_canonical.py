@@ -1,5 +1,6 @@
 """Tests for the canonical-form search."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from entgeo import _als
 from entgeo._als import haar_bloch_spinors
 from entgeo.states import _GAUGE_BITS, _canonicalize, _gauge_fix
 
+from conftest import als_budget
 from oracles import grid_overlap_sq
 
 SQ2 = math.sqrt(2.0)
@@ -164,17 +166,26 @@ class TestContracts:
             canonicalize(ghz_state(3), seed=bad)
 
     def test_solver_budget(self, monkeypatch):
+        # one ungated ALS call, under the freeze and sweep cap that _als reads at
+        # call time; the branches are frozen coarse and the polish finishes each one
         calls = []
         run = _als.power_iteration
 
-        def recording(psis, restarts, max_iterations, tol, seed):
-            calls.append((max_iterations, tol))
-            return run(psis, restarts, max_iterations, tol, seed)
+        def recording(psis, restarts, seed, stop_at=None):
+            out = run(psis, restarts, seed, stop_at=stop_at)
+            calls.append((stop_at, int(out["iterations"].max())))
+            return out
 
         monkeypatch.setattr(_als, "power_iteration", recording)
-        canonicalize(haar_random_state(3, seed=8))
-        # the branches are frozen coarse; the polish finishes each one
-        assert calls == [(_als.MAX_ITERATIONS, _als.COARSE_TOL)]
+        s = haar_random_state(3, seed=8)
+        params = [canonicalize(s)[0]]
+        for budget in ({"sweeps": 3}, {"tol": 1e-13}):
+            with als_budget(**budget):
+                params.append(canonicalize(s)[0])
+        assert calls == [(None, 8), (None, 3), (None, 13)]
+        first = dataclasses.astuple(params[0])
+        for p in params[1:]:
+            assert dataclasses.astuple(p) == pytest.approx(first, abs=1e-12)
 
     def test_distinct_branches_polished_in_one_call(self, monkeypatch):
         calls = []

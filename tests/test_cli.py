@@ -116,6 +116,13 @@ class TestOverlapCommand:
         assert doc["converged"] is True
         assert doc["upper_bound"] == pytest.approx(0.5, abs=1e-15)
 
+    def test_product_state_measure_is_plus_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "overlap", "--builtin", "canonical:0,0,0,1,0,0")
+        assert code == 0 and "E_g = -ln g^2 = 0\n" in out
+        code, out, _ = run_cli(capsys, "overlap", "--builtin", "canonical:0,0,0,1,0,0",
+                               "--format", "structured")
+        assert code == 0 and '"geometric_measure": 0.0,' in out
+
     def test_human_output_shows_the_cut_bound(self, capsys):
         code, out, _ = run_cli(capsys, "overlap", "--builtin", "w", "--restarts", "8")
         assert code == 0

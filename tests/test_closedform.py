@@ -281,6 +281,11 @@ class TestTheoremCheck:
             assert report.passed
             assert report.vanishing_qubit == permutation.index(2)
 
+    def test_bool_permutation_named(self):
+        with pytest.raises(ValueError, match=r"perm\[0\] must be an integer"):
+            theorem_check(sample_zero_bloch_manifold("h-nonzero", seed=0),
+                          permutation=(True, False, 2))
+
     def test_campaign(self):
         for family in ("quadrilateral", "h-nonzero"):
             report = run_theorem_campaign(family, n_samples=200, seed=7)
@@ -522,9 +527,7 @@ class TestBatchedResolve:
         report = run_theorem_campaign("h-nonzero", 20, seed=1, tolerance=1e-17)
         cfg = _THEOREM_SOLVER
         flagged = als_passes.resolved_rows(cfg, self.off_half(report.tolerance))
-        assert als_passes[1]["budget"] == (
-            4 * cfg.restarts, _als.MAX_ITERATIONS, _als.COARSE_TOL, cfg.seed + 1
-        )
+        assert als_passes[1]["budget"] == (4 * cfg.restarts, cfg.seed + 1)
         assert report.rechecked == flagged.size > 0
         g2 = als_passes.answer("g_squared", flagged)
         assert [f.index for f in report.failures] == list(np.flatnonzero(np.abs(g2 - 0.5) > 1e-17))

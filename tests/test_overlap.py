@@ -53,6 +53,7 @@ from entgeo.states import (
     _sample_zero_bloch_rows,
 )
 
+from conftest import als_budget
 from oracles import grid_overlap_sq
 
 FAST = SolverConfig(restarts=16)
@@ -102,8 +103,8 @@ class TestSolverContracts:
     def test_gate_stops_a_state_at_its_first_freeze(self):
         # stop_at 0 fires on state 0's first freezing run; +inf never fires
         psis = np.stack([haar_random_state(4, seed=seed).tensor for seed in (1, 2)])
-        free = _als.power_iteration(psis, 8, 500, 1e-6, 3)
-        gated = _als.power_iteration(psis, 8, 500, 1e-6, 3, stop_at=np.array([0.0, np.inf]))
+        free = _als.power_iteration(psis, 8, 3)
+        gated = _als.power_iteration(psis, 8, 3, stop_at=np.array([0.0, np.inf]))
         assert gated["gated"].tolist() == [True, False] and not free["gated"].any()
         first = free["iterations"][0].min()
         assert np.all(gated["iterations"][0] == first) and gated["converged"][0].all()
@@ -119,13 +120,13 @@ class TestSolverContracts:
         # so stacking the capped results gives every run's per-sweep history
         for seed in range(5):
             psis = haar_random_state(3, seed=seed).tensor[None]
-            full = _als.power_iteration(psis, restarts=8, max_iterations=500, tol=1e-13, seed=seed)
-            hist = np.array([
-                _als.power_iteration(psis, restarts=8, max_iterations=k, tol=1e-13, seed=seed)[
-                    "g_squared"
-                ]
-                for k in range(1, int(full["iterations"].max()) + 1)
-            ])
+            with als_budget(tol=1e-13):
+                full = _als.power_iteration(psis, 8, seed)
+                hist = []
+                for k in range(1, int(full["iterations"].max()) + 1):
+                    with als_budget(sweeps=k):
+                        hist.append(_als.power_iteration(psis, 8, seed)["g_squared"])
+            hist = np.array(hist)
             assert np.array_equal(hist[-1], full["g_squared"])
             diffs = np.diff(hist, axis=0)
             assert np.nanmin(diffs) > -1e-14
@@ -226,8 +227,9 @@ class TestDominanceStop:
     def test_dominated_runs_stop_from_coarse_sweeps(self):
         psis = haar_random_state(6, seed=24).tensor[None]
         cap = _als.COARSE_SWEEPS
-        free = _als.power_iteration(psis, 16, 500, 1e-11, 3)
-        run = _als.power_iteration(psis, 16, 500, 1e-11, 3, stop_at=np.array([np.inf]))
+        with als_budget(tol=1e-11):
+            free = _als.power_iteration(psis, 16, 3)
+            run = _als.power_iteration(psis, 16, 3, stop_at=np.array([np.inf]))
         assert not run["gated"].any()
         sweeps, conv, g2 = run["iterations"][0], run["converged"][0], run["g_squared"][0]
         # a run that froze by itself did so exactly as in the free call
@@ -238,7 +240,8 @@ class TestDominanceStop:
         stopped = np.flatnonzero(~conv)
         assert stopped.size and sweeps[stopped].min() == cap
         at_cap = stopped[sweeps[stopped] == cap]
-        capped = _als.power_iteration(psis, 16, cap, 1e-11, 3)
+        with als_budget(tol=1e-11, sweeps=cap):
+            capped = _als.power_iteration(psis, 16, 3)
         assert np.array_equal(g2[at_cap], capped["g_squared"][0, at_cap])
         for k in stopped:
             assert g2[k] < g2[conv & (sweeps < sweeps[k])].max()
@@ -248,7 +251,8 @@ class TestDominanceStop:
 
     def test_ungated_call_is_unchanged(self):
         psis = haar_random_state(6, seed=24).tensor[None]
-        free = _als.power_iteration(psis, 16, 500, 1e-11, 3)
+        with als_budget(tol=1e-11):
+            free = _als.power_iteration(psis, 16, 3)
         assert free["iterations"][0].tolist() == self.SWEEPS and free["converged"].all()
         assert free["g_squared"].max() == pytest.approx(0.20052249352765697, abs=1e-15)
         assert free["g_squared"].min() == pytest.approx(0.12550110916370885, abs=1e-15)
@@ -262,16 +266,15 @@ class TestDominanceStop:
         tensors = np.stack([s.tensor for s in states])
         cfg = SolverConfig(restarts=16, seed=3)
         stop_at = _cut_bound(tensors) - _als.GATE_MARGIN
-        run = _als.power_iteration(tensors, cfg.restarts, _als.MAX_ITERATIONS, _als.COARSE_TOL,
-                                   cfg.seed, stop_at=stop_at)
+        run = _als.power_iteration(tensors, cfg.restarts, cfg.seed, stop_at=stop_at)
         stopped = ~run["converged"] & (run["iterations"] >= _als.COARSE_SWEEPS)
         assert np.flatnonzero(stopped.any(axis=1)).tolist() == [0, 1, 3, 4]
         assert np.flatnonzero(run["gated"]).tolist() == [2]
         batch = _solve_overlaps(tensors, cfg)
         assert batch[4] == 0
         for i in range(len(states)):
-            one = _als.power_iteration(tensors[i : i + 1], cfg.restarts, _als.MAX_ITERATIONS,
-                                       _als.COARSE_TOL, cfg.seed, stop_at=stop_at[i : i + 1])
+            one = _als.power_iteration(tensors[i : i + 1], cfg.restarts, cfg.seed,
+                                       stop_at=stop_at[i : i + 1])
             for key in ("g_squared", "iterations", "converged", "gated"):
                 assert np.array_equal(run[key][i], one[key][0])
             assert np.array_equal(run["spinors"][:, i], one["spinors"][:, 0])
@@ -282,13 +285,13 @@ class TestDominanceStop:
 
 
 def _record_runs(monkeypatch) -> list:
-    """Patch ``_als.power_iteration`` to append each call's sweep cap, gate
-    flag (pass 1 of an overlap solve) and (S, R) sweeps to the returned list."""
+    """Patch ``_als.power_iteration`` to append each call's gate flag (pass 1
+    of an overlap solve) and (S, R) sweeps to the returned list."""
     calls, run = [], _als.power_iteration
 
-    def recording(psis, restarts, max_iterations, tol, seed, stop_at=None):
-        out = run(psis, restarts, max_iterations, tol, seed, stop_at=stop_at)
-        calls.append((max_iterations, stop_at is not None, out["iterations"]))
+    def recording(psis, restarts, seed, stop_at=None):
+        out = run(psis, restarts, seed, stop_at=stop_at)
+        calls.append((stop_at is not None, out["iterations"]))
         return out
 
     monkeypatch.setattr(_als, "power_iteration", recording)
@@ -330,8 +333,7 @@ class TestSweepGuard:
         resolved.append(_solve_overlaps(np.stack(quads), FAST)[4])
         _canonicalize(np.stack([haar_random_state(3, seed=k).tensor for k in range(10)]),
                       _CANON_RESTARTS, 0)
-        assert {cap for cap, _, _ in calls} == {_als.MAX_ITERATIONS}
-        assert max(sweeps.max() for _, _, sweeps in calls) < _als.MAX_ITERATIONS
+        assert max(sweeps.max() for _, sweeps in calls) < _als.MAX_ITERATIONS
         assert resolved == [0] * 10 + [2]  # the re-solve pass ran too
 
     # a near-manifold sample (h-nonzero family, d moved by -1e-3) whose pass-1
@@ -345,15 +347,28 @@ class TestSweepGuard:
         calls = _record_runs(monkeypatch)
         guarded = _solve_overlaps(tensors, SolverConfig())
         assert guarded[3][0] == 102 and guarded[4] == 1
-        assert (calls[1][2] == _als.MAX_ITERATIONS).sum() == 7
-        # the cap is read at call time, by both passes
-        cap = _als.MAX_ITERATIONS
-        monkeypatch.setattr(_als, "MAX_ITERATIONS", 4 * cap)
-        free = _solve_overlaps(tensors, SolverConfig())
-        assert [c for c, _, _ in calls] == [cap, cap, 4 * cap, 4 * cap]
-        assert calls[3][2].max() == 673
+        assert (calls[1][1] == _als.MAX_ITERATIONS).sum() == 7
+        # the cap is read at call time: under a 4x cap the re-solve's runs go on
+        with als_budget(sweeps=4 * _als.MAX_ITERATIONS):
+            free = _solve_overlaps(tensors, SolverConfig())
+        assert calls[3][1].max() == 673
         for a, b in zip(guarded, free):
             assert np.array_equal(a, b)
+
+    # (a, b, c, d, h, gamma) of h-nonzero zero-Bloch samples with d moved by -1e-3
+    # and renormalized: both passes stall near a residual of 7e-4, and the least
+    # stalled answer comes from slow runs of the ungated re-solve; a dominance
+    # stop there would leave all three at 0.4992923932, up to 3.5e-4 lower
+    SLOW_RUNS = np.array([
+        [0.6919208215515138, 0.13023064015305524, 0, 0.7066062504813514, 0.07066232270092311, 0],
+        [0.6771003211709838, 0.19580338295109626, 0, 0.7066062504813513, 0.062480373524353185, 0],
+        [0.6743997211378231, 0.2051622898312556, 0, 0.7066062504813513, 0.06165271884603458, 0],
+    ])
+
+    def test_resolve_keeps_its_slow_runs(self):
+        g2, *_, resolved, _ = _solve_overlaps(_canonical_tensors(self.SLOW_RUNS), _THEOREM_SOLVER)
+        assert resolved == 3
+        assert np.all(g2 >= np.array([0.49964317804, 0.49942426695, 0.49940878536]) - 1e-9)
 
 
 # at 16 restarts the runs of this state's best basin freeze 6e-6 below the
@@ -566,6 +581,7 @@ class TestSpinorBloch:
 class TestGeometricMeasure:
     def test_product(self):
         assert geometric_measure(1.0) == pytest.approx(0.0)
+        assert math.copysign(1.0, geometric_measure(1.0)) == 1.0  # +0.0, not -0.0
 
     def test_half(self):
         assert geometric_measure(0.5) == pytest.approx(math.log(2.0))
@@ -650,14 +666,15 @@ class TestSweepKernel:
             return [_einsum_run(psis[i].conj(), starts[:, i, r], sweeps, tol)
                     for r in range(restarts + 1)]
 
-        # 1e-13 is the freeze tolerance of canonicalize; at 1e-6 the runs freeze at
-        # their own sweeps, so the caps up to 40 check the stacked write-out and
+        # at 1e-13 the runs reach the caps unfrozen; at 1e-6 they freeze at their
+        # own sweeps, so the caps up to 40 check the stacked write-out and
         # compaction row by row
         for tol, caps in ((1e-13, (1, 3)), (1e-6, (1, 3, 10, 40))):
             for sweeps in caps:
                 free = [einsum_runs(i, sweeps, tol) for i in range(len(states))]
                 for gate in (None, stop_at):
-                    run = _als.power_iteration(psis, restarts, sweeps, tol, seed, stop_at=gate)
+                    with als_budget(tol=tol, sweeps=sweeps):
+                        run = _als.power_iteration(psis, restarts, seed, stop_at=gate)
                     for i, own in enumerate(free):
                         fired = [] if gate is None else [
                             it for g2, _, it, _ in own if g2 >= gate[i]
@@ -694,7 +711,8 @@ class TestSweepKernel:
 
         monkeypatch.setattr(_als, "_initial_spinors", orthogonal_starts)
         restarts, seed = 4, 3
-        run = _als.power_iteration(psis, restarts, 500, 1e-13, seed)
+        with als_budget(tol=1e-13):
+            run = _als.power_iteration(psis, restarts, seed)
         assert np.all(np.isfinite(run["spinors"])) and np.all(np.isfinite(run["g_squared"]))
         assert np.abs(np.linalg.norm(run["spinors"], axis=-1) - 1.0).max() <= 1e-15
         assert run["g_squared"][1, 0] == 0.0 and run["iterations"][1, 0] == 1
@@ -704,7 +722,8 @@ class TestSweepKernel:
         assert np.array_equal(np.abs(run["spinors"][:, 1, 1]), [[1, 0]] * 3)
         # the batch-mates run exactly as they do alone
         for i in (0, 2):
-            alone = _als.power_iteration(psis[i : i + 1], restarts, 500, 1e-13, seed)
+            with als_budget(tol=1e-13):
+                alone = _als.power_iteration(psis[i : i + 1], restarts, seed)
             for key in ("g_squared", "iterations", "converged"):
                 assert np.array_equal(run[key][i], alone[key][0])
             assert np.array_equal(run["spinors"][:, i], alone["spinors"][:, 0])
@@ -740,7 +759,8 @@ def assert_best_polished(tensors, cfg):
     same starts, each polished, to 1e-12, and its product reproduces its g^2,
     which is returned."""
     g2, spinors = _solve_overlaps(tensors, cfg)[:2]
-    run = _als.power_iteration(tensors, cfg.restarts, _als.MAX_ITERATIONS, 1e-13, cfg.seed)
+    with als_budget(tol=1e-13):
+        run = _als.power_iteration(tensors, cfg.restarts, cfg.seed)
     every_run = [sp.reshape(-1, 2) for sp in run["spinors"]]
     repeated = np.repeat(tensors, cfg.restarts + 1, axis=0)
     polished = _als.polish_stationary(repeated, every_run)[2].reshape(len(tensors), -1)
@@ -751,10 +771,11 @@ def assert_best_polished(tensors, cfg):
     return g2
 
 
-def _best_runs(tensors, restarts, sweeps=_als.MAX_ITERATIONS):
-    """Each state's best of ``restarts`` + 1 ALS runs at seed 0, frozen at
-    ``_als.COARSE_TOL`` or stopped after ``sweeps``, as n arrays (S, 2)."""
-    run = _als.power_iteration(tensors, restarts, sweeps, _als.COARSE_TOL, 0)
+def _best_runs(tensors, restarts, sweeps=None):
+    """Each state's best of ``restarts`` + 1 ALS runs at seed 0, capped at
+    ``sweeps`` if given, as n arrays (S, 2)."""
+    with als_budget(sweeps=sweeps):
+        run = _als.power_iteration(tensors, restarts, 0)
     best = np.argmax(run["g_squared"], axis=1)
     return [sp[np.arange(len(tensors)), best] for sp in run["spinors"]]
 
@@ -868,8 +889,8 @@ class TestSolvePath:
         assert np.array_equal(sweeps, als_passes.answer("sweeps", redo))
         assert np.array_equal(g2, als_passes.answer("g_squared", redo))
         assert np.array_equal(residual, als_passes.answer("residual", redo))
-        tight = _als.power_iteration(tensors, cfg.restarts, _als.MAX_ITERATIONS, 1e-13,
-                                     cfg.seed)
+        with als_budget(tol=1e-13):
+            tight = _als.power_iteration(tensors, cfg.restarts, cfg.seed)
         assert np.abs(g2 - tight["g_squared"].max(axis=1)).max() <= 1e-12
         for i, s in enumerate(states):
             product = ProductState(tuple(sp[i] for sp in spinors))
@@ -966,7 +987,8 @@ class TestSolvePath:
         g2, _, residual, _, resolved, _ = _solve_overlaps(tensors, FAST)
         assert resolved == len(states) and residual.max() <= accepted
         esc = FAST.escalated()
-        tight = _als.power_iteration(tensors, esc.restarts, _als.MAX_ITERATIONS, 1e-13, esc.seed)
+        with als_budget(tol=1e-13):
+            tight = _als.power_iteration(tensors, esc.restarts, esc.seed)
         best = np.argmax(tight["g_squared"], axis=1)
         starts = tight["spinors"][:, np.arange(len(states)), best]
         assert np.abs(g2 - _als.polish_stationary(tensors, starts)[2]).max() <= 1e-12

@@ -438,6 +438,12 @@ class TestPermuteQubits:
         out = permute_qubits(basis_state(3, 3), (2, 0, 1))
         assert np.allclose(out.amplitudes, basis_state(3, 5).amplitudes)
 
+    @pytest.mark.parametrize("perm", [(True, False, 2), (1.0, 0.0, 2.0), (0, 1), (0, 0, 1)])
+    def test_bad_perm_named(self, perm):
+        # bools and floats sort like a permutation but are no qubit indices
+        with pytest.raises(ValueError, match=r"perm"):
+            permute_qubits(ghz_state(3), perm)
+
 
 class TestStateFiles:
     def test_roundtrip(self, tmp_path):
