@@ -20,7 +20,6 @@ from .closedform import (
     dicke4_state,
     ghz_overlap,
     ghz_theta_state,
-    inverse_search,
     quadrilateral_overlap,
     random_feasible_quadrilateral,
     run_theorem_campaign,
@@ -340,29 +339,6 @@ _DEMOS = {"ghz-sweep": _demo_ghz, "wn": _demo_wn, "dicke4": _demo_dicke4,
           "quadrilateral": _demo_quadrilateral}
 
 
-def _cmd_inverse_search(args) -> int:
-    report = inverse_search(args.samples, seed=args.seed, solver=_solver_config(args))
-    if args.format == "structured":
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        sampled = sum(not h.is_control for h in report.hits)
-        print(
-            f"inverse search: {sampled} of {report.samples} sampled states "
-            f"(plus controls) have |g^2 - 1/2| <= {report.filter_tol:g}"
-        )
-        for h in report.hits:
-            tag = " [control]" if h.is_control else ""
-            print(
-                f"  index {h.index}: g^2 = {_fmt(h.g_squared)}, "
-                f"min Bloch length = {_fmt(h.min_bloch_length)}{tag}"
-            )
-        if report.min_bloch_quantiles:
-            q = report.min_bloch_quantiles
-            print("  min-Bloch quantiles: " + ", ".join(f"{k}={v:.3g}" for k, v in q.items()))
-        print("  exploratory output; no claim attached")
-    return EXIT_OK
-
-
 # --------------------------------------------------------------------------
 # parser
 
@@ -423,13 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p, _EXAMPLE_SOLVER.restarts)
     p.add_argument("--format", choices=("human", "structured"), default="human")
     p.set_defaults(func=_cmd_demo)
-
-    p = sub.add_parser("inverse-search",
-                       help="explore whether g^2 = 1/2 forces a zero Bloch vector")
-    p.add_argument("--samples", type=int, default=200, metavar="N")
-    _add_solver_flags(p, _EXAMPLE_SOLVER.restarts)
-    p.add_argument("--format", choices=("human", "structured"), default="human")
-    p.set_defaults(func=_cmd_inverse_search)
 
     return parser
 

@@ -19,7 +19,6 @@ from .invariants import (  # noqa: F401  correlation_matrix is looked up here to
     _bloch,
     _bloch_geometry,
     _correlation,
-    _invariant_rows,
     _marginals,
     _sextic_t_trace,
     bloch_vector,
@@ -42,11 +41,8 @@ from .states import (
     _canonical_tensors,
     _require_int,
     _require_positive,
-    _sample_zero_bloch,
     _sample_zero_bloch_rows,
     canonical_to_state,
-    ghz_state,
-    haar_random_state,
     permute_qubits,
 )
 
@@ -345,7 +341,8 @@ def _zero_mode_residuals(b_first: np.ndarray, b_second: np.ndarray, g: np.ndarra
 # first-pass budget of the zero-Bloch checks: their evidence is the bracket
 # against the cut bound 1/2, closed on the manifold, not agreement among restarts
 _THEOREM_SOLVER = SolverConfig(restarts=2)
-# budget of the example families and the inverse search, where no bracket closes
+# budget of the example families (``wn_overlap`` and ``entgeo demo``), where no
+# bracket closes
 _EXAMPLE_SOLVER = SolverConfig(restarts=16)
 
 
@@ -439,14 +436,6 @@ class CampaignReport:
         return out
 
 
-def _require_sample_count(n_samples, minimum: int) -> None:
-    """Raise ValueError unless ``n_samples`` is an integer >= ``minimum`` (bool rejected)."""
-    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)):
-        raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
-    if n_samples < minimum:
-        raise ValueError(f"n_samples must be at least {minimum}, got {n_samples}")
-
-
 def run_theorem_campaign(
     family,
     n_samples: int,
@@ -464,7 +453,7 @@ def run_theorem_campaign(
     declared failures.  Structure checks (t, zero modes, singular values of
     G) run on the whole batch.
     """
-    _require_sample_count(n_samples, 1)
+    _require_int("n_samples", n_samples, 1)
     _require_int("seed", seed, 0)
     _require_positive("tolerance", tolerance)
     family = ZeroBlochFamily(family)
@@ -589,80 +578,3 @@ def dicke4_state() -> PureState:
     amps[[bin(i).count("1") == 2 for i in range(16)]] = 1.0 / math.sqrt(6.0)
     return PureState(4, amps)
 
-
-# --------------------------------------------------------------------------
-# exploratory search for the inverse statement
-
-
-@dataclass(frozen=True)
-class InverseHit:
-    index: int
-    g_squared: float
-    min_bloch_length: float
-    is_control: bool
-
-
-@dataclass(frozen=True)
-class InverseSearchReport:
-    """Empirical distribution of min(b_A, b_B, b_C) among states with
-    g^2 close to 1/2.  ``hits`` lists the controls too, the quantiles cover
-    the sampled hits only.  Exploratory only; no claim is attached.
-    """
-
-    samples: int
-    seed: int
-    filter_tol: float
-    hits: tuple[InverseHit, ...]
-    min_bloch_quantiles: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "seed": self.seed,
-            "filter_tol": self.filter_tol,
-            "n_hits": len(self.hits),
-            "hits": [asdict(h) for h in self.hits],
-            "min_bloch_quantiles": self.min_bloch_quantiles,
-        }
-
-
-def inverse_search(
-    n_samples: int,
-    seed: int = 0,
-    solver: SolverConfig | None = None,
-    filter_tol: float = 1e-4,
-) -> InverseSearchReport:
-    """Sample Haar states, keep those with |g^2 - 1/2| <= ``filter_tol`` and
-    record the smallest Bloch length of each.
-
-    A GHZ state and one sample from each zero-Bloch family are appended as
-    controls; they must appear among the hits.
-    """
-    _require_sample_count(n_samples, 0)
-    _require_int("seed", seed, 0)
-    _require_positive("filter_tol", filter_tol)
-    solver = solver or _EXAMPLE_SOLVER
-    rng = np.random.default_rng(seed)
-    states = [haar_random_state(3, rng) for _ in range(n_samples)]
-    control_from = len(states)
-    states.append(ghz_state(3))
-    states.append(canonical_to_state(_sample_zero_bloch(ZeroBlochFamily.QUADRILATERAL, rng)))
-    states.append(canonical_to_state(_sample_zero_bloch(ZeroBlochFamily.H_NONZERO, rng)))
-    tensors = np.stack([s.tensor for s in states])
-    g2 = _solve_overlaps(tensors, solver, lambda g: np.abs(g - 0.5) <= 10.0 * filter_tol)[0]
-    min_bloch = _invariant_rows(tensors)[:, :3].min(axis=1)
-    hits = [
-        InverseHit(int(i), float(g2[i]), float(min_bloch[i]), is_control=bool(i >= control_from))
-        for i in np.flatnonzero(np.abs(g2 - 0.5) <= filter_tol)
-    ]
-    sampled = [h.min_bloch_length for h in hits if not h.is_control]
-    quantiles = {
-        f"q{int(q * 100):02d}": float(np.quantile(sampled, q)) for q in (0.0, 0.25, 0.5, 0.75, 1.0)
-    } if sampled else {}
-    return InverseSearchReport(
-        samples=n_samples,
-        seed=seed,
-        filter_tol=filter_tol,
-        hits=tuple(hits),
-        min_bloch_quantiles=quantiles,
-    )

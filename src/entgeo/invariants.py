@@ -155,6 +155,8 @@ class InvariantSet:
             v = getattr(self, name)
             if not -1e-12 <= v <= 1.0 + 1e-12:
                 raise ValueError(f"{name} = {v} outside [0, 1]")
+        if not math.isfinite(self.t):
+            raise ValueError(f"t must be finite, got {self.t}")
         if not -1e-12 <= self.tau <= 1.0 + 1e-9:
             raise ValueError(f"tau = {self.tau} outside [0, 1]")
 

@@ -175,7 +175,8 @@ def _solve_overlaps(tensors: np.ndarray, cfg: SolverConfig, suspect=None):
     below a frozen run of its own state, where it can still be polished.  The
     states whose polish stalls above ``_als.POLISHED_RESIDUAL``, whose gate
     fired but whose bracket ``upper - g2`` is still wider than
-    ``_als.CLOSED_GAP``, or whose value ``suspect(g2)`` flags, are re-solved
+    ``_als.CLOSED_GAP``, or whose value ``suspect(g2)`` flags (the zero-Bloch
+    checks pass ``closedform._misses_half``, its one predicate), are re-solved
     once, as one ungated batch, under ``cfg.escalated()``, and polished again.
 
     Returns (g_squared (S,), spinors as one (n, S, 2) block, residual (S,),

@@ -225,6 +225,8 @@ class LocalUnitary:
 
     def __post_init__(self):
         mats = tuple(_readonly(np.asarray(m, dtype=complex)) for m in self.matrices)
+        if not 1 <= len(mats) <= MAX_QUBITS:
+            raise ValueError(f"matrices must hold 1..{MAX_QUBITS} factors, got {len(mats)}")
         for i, m in enumerate(mats):
             if m.shape != (2, 2):
                 raise ValueError("each local unitary must be a 2x2 matrix")
@@ -401,6 +403,8 @@ class ProductState:
 
     def __post_init__(self):
         sps = tuple(_readonly(np.asarray(s, dtype=complex).reshape(-1)) for s in self.spinors)
+        if not 1 <= len(sps) <= MAX_QUBITS:
+            raise ValueError(f"spinors must hold 1..{MAX_QUBITS} factors, got {len(sps)}")
         for i, sp in enumerate(sps):
             if sp.size != 2:
                 raise ValueError("each spinor must have 2 components")

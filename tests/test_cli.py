@@ -3,7 +3,9 @@
 import inspect
 import json
 import math
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -215,7 +217,7 @@ class TestVerifyTheoremCommand:
     def test_bad_sample_count_exit_2(self, capsys, count):
         code, _, err = run_cli(capsys, "verify-theorem", "--samples", count)
         assert code == 2
-        assert f"n_samples must be at least 1, got {count}" in err
+        assert f"n_samples must be an integer >= 1, got {count}" in err
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-7"])
     def test_bad_tolerance_exit_2(self, capsys, tol):
@@ -294,35 +296,6 @@ class TestDemoCommand:
         assert err.value.code == 2
 
 
-class TestInverseSearchCommand:
-    def test_runs_and_reports_controls(self, capsys):
-        code, out, _ = run_cli(capsys, "inverse-search", "--samples", "10",
-                               "--seed", "4", "--format", "structured")
-        assert code == 0
-        doc = json.loads(out)
-        controls = [h for h in doc["hits"] if h["is_control"]]
-        assert len(controls) == 3
-
-    def test_count_leaves_out_controls(self, capsys):
-        code, out, _ = run_cli(capsys, "inverse-search", "--samples", "200", "--seed", "0")
-        assert code == 0
-        assert "inverse search: 0 of 200 sampled states (plus controls)" in out
-        assert out.count("[control]") == 3
-        assert "quantiles" not in out
-
-    def test_negative_sample_count_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, "inverse-search", "--samples", "-3")
-        assert code == 2
-        assert "n_samples must be at least 0, got -3" in err
-
-    def test_deterministic(self, capsys):
-        args = ("inverse-search", "--samples", "10", "--seed", "4",
-                "--format", "structured")
-        _, out1, _ = run_cli(capsys, *args)
-        _, out2, _ = run_cli(capsys, *args)
-        assert out1 == out2
-
-
 class TestParserReuse:
     CALLS = (
         ("overlap", "--builtin", "w", "--restarts", "4", "--seed", "3",
@@ -348,7 +321,7 @@ class TestParserReuse:
 
 class TestParserDefaults:
     SOLVING = (("overlap", "--builtin", "ghz"), ("canonicalize", "--builtin", "ghz"),
-               ("verify-theorem",), ("demo", "--name", "wn"), ("inverse-search",))
+               ("verify-theorem",), ("demo", "--name", "wn"))
 
     @pytest.mark.parametrize("argv", SOLVING, ids=lambda argv: argv[0])
     def test_solving_subcommands_share_the_solver_flags(self, capsys, argv):
@@ -371,10 +344,9 @@ class TestParserDefaults:
         library = inspect.signature(canonicalize).parameters["restarts"].default
         assert restarts("canonicalize") == library
         assert restarts("verify-theorem") == _THEOREM_SOLVER.restarts
-        assert restarts("inverse-search") == _EXAMPLE_SOLVER.restarts
         assert restarts("demo", "--name", "wn") == _EXAMPLE_SOLVER.restarts
 
-    def test_example_budget_is_the_search_and_wn_default(self, monkeypatch):
+    def test_example_budget_is_the_wn_default(self, monkeypatch):
         budgets = []
 
         class Recorded(Exception):
@@ -384,10 +356,29 @@ class TestParserDefaults:
             budgets.append(cfg)
             raise Recorded
 
-        monkeypatch.setattr(closedform, "_solve_overlaps", record)
         monkeypatch.setattr(closedform, "nearest_product_state", record)
         with pytest.raises(Recorded):
-            closedform.inverse_search(0)
-        with pytest.raises(Recorded):
             closedform.wn_overlap([0.6, 0.8])
-        assert budgets == [_EXAMPLE_SOLVER, _EXAMPLE_SOLVER]
+        assert budgets == [_EXAMPLE_SOLVER]
+
+
+class TestReadme:
+    """The README's command examples and its list of solving commands name
+    exactly the subcommands the parser registers."""
+
+    TEXT = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+    @staticmethod
+    def subcommands():
+        sub = next(a for a in cli.build_parser()._actions if a.choices and a.dest == "command")
+        return sub.choices
+
+    def test_examples_name_every_subcommand(self):
+        examples = re.findall(r"^entgeo ([a-z-]+)", self.TEXT, re.M)
+        assert sorted(set(examples)) == sorted(self.subcommands())
+
+    def test_solving_commands_are_those_with_solver_flags(self):
+        listed = re.search(r"solving commands \(([^)]*)\)", self.TEXT).group(1)
+        solving = [name for name, p in self.subcommands().items()
+                   if any("--restarts" in a.option_strings for a in p._actions)]
+        assert sorted(re.findall(r"`([a-z-]+)`", listed)) == sorted(solving)

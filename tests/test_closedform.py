@@ -18,7 +18,7 @@ from entgeo import (
     bloch_vector,
     haar_random_state,
     correlation_matrix,
-    inverse_search,
+    make_state,
     nearest_product_state,
     overlap_with_product,
     quadrilateral_area,
@@ -501,6 +501,53 @@ class TestDicke4:
         assert abs(g2 - 0.5) > 0.1
 
 
+class TestConverse:
+    """g^2 = 1/2 does not force a zero Bloch vector.  On the path
+    cos s|000> + sin s|W_3> every qubit has rho_00 >= 2/3, so |b_q| >= 1/3,
+    while g^2 falls from 1 to 4/9; it crosses 1/2 at S_STAR (bisection)."""
+
+    S_STAR = 1.4946472650
+
+    @staticmethod
+    def path(s):
+        amps = np.zeros(8)
+        amps[0] = math.cos(s)
+        amps[[1, 2, 4]] = math.sin(s) / math.sqrt(3)
+        return make_state(3, amps)
+
+    @staticmethod
+    def symmetric_oracle(s):
+        """max over t of |<psi(s)|(cos t|0> + sin t|1>)^3>|^2: the nearest
+        product state of a symmetric state is symmetric (Huebener et al., PRA
+        80, 032324, 2009), and real for real nonnegative amplitudes."""
+        def f(t):
+            c, sn = np.cos(t), np.sin(t)
+            return (math.cos(s) * c**3 + math.sqrt(3) * math.sin(s) * c**2 * sn) ** 2
+
+        grid = np.linspace(0.0, math.pi, 200_001)
+        k = int(np.argmax(f(grid)))
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
+        for _ in range(100):  # ternary search inside the two cells around the grid maximum
+            m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+            lo, hi = (m1, hi) if f(m1) < f(m2) else (lo, m2)
+        return float(f((lo + hi) / 2))
+
+    def test_converse_is_false(self):
+        off_half = []
+        for s in (self.S_STAR - 1e-6, self.S_STAR, self.S_STAR + 1e-6):
+            state = self.path(s)
+            result = nearest_product_state(state)
+            assert result.converged
+            assert abs(result.g_squared - self.symmetric_oracle(s)) <= 1e-9
+            assert min(np.linalg.norm(bloch_vector(state, q)) for q in range(3)) >= 1 / 3
+            # the one-qubit cut bound leaves the crossing wide open
+            assert result.upper_bound > 0.6
+            off_half.append(result.g_squared - 0.5)
+        below, at, above = off_half
+        assert abs(at) <= 1e-9
+        assert below > 0 > above
+
+
 class TestBatchedResolve:
     @staticmethod
     def off_half(tolerance):
@@ -547,67 +594,3 @@ class TestBatchedResolve:
         assert als_passes.resolved_rows(STRAGGLING, self.off_half(report.tolerance)).tolist() == [0]
         assert abs(als_passes[0]["g_squared"][0] - 0.5) > 1e-3  # the first pass misses 1/2
         assert report.passed and report.numeric_g_squared == als_passes[1]["g_squared"][0]
-
-    def test_inverse_search_refines_in_one_batch(self, als_passes):
-        # a wide filter, so that some refined rows fall outside it
-        report = inverse_search(20, seed=5, filter_tol=0.02)
-        near = als_passes.resolved_rows(FAST, lambda g: np.abs(g - 0.5) <= 10.0 * report.filter_tol)
-        second = als_passes[1]["g_squared"]
-        kept = near[np.abs(second - 0.5) <= report.filter_tol]
-        assert 3 <= kept.size < near.size
-        assert [h.index for h in report.hits] == list(kept)
-        assert [h.g_squared for h in report.hits] == list(second[np.isin(near, kept)])
-
-
-class TestInverseSearch:
-    def test_controls_are_hits_with_zero_bloch(self):
-        report = inverse_search(20, seed=5)
-        controls = [h for h in report.hits if h.is_control]
-        assert len(controls) == 3
-        for hit in controls:
-            assert hit.min_bloch_length <= 1e-8
-
-    def test_deterministic(self):
-        a = inverse_search(15, seed=9)
-        b = inverse_search(15, seed=9)
-        assert a.to_dict() == b.to_dict()
-
-    def test_report_shape(self):
-        report = inverse_search(10, seed=2)
-        doc = report.to_dict()
-        assert doc["samples"] == 10
-        assert doc["n_hits"] == len(doc["hits"])
-        if any(not h["is_control"] for h in doc["hits"]):
-            assert set(doc["min_bloch_quantiles"]) == {"q00", "q25", "q50", "q75", "q100"}
-
-    def test_controls_kept_out_of_quantiles(self):
-        report = inverse_search(200, seed=0)
-        assert [h.is_control for h in report.hits] == [True, True, True]
-        assert [h.index for h in report.hits] == [200, 201, 202]
-        assert report.min_bloch_quantiles == {}
-        assert report.to_dict()["n_hits"] == 3
-
-    def test_sample_count_validated(self):
-        with pytest.raises(ValueError, match="n_samples must be at least 0, got -1"):
-            inverse_search(-1)
-        for bad in (2.5, True):
-            with pytest.raises(ValueError, match=f"n_samples must be an integer, got {bad!r}"):
-                inverse_search(bad)
-
-    @pytest.mark.parametrize("bad", [None, -1, 1.5, True])
-    def test_seed_validated(self, bad):
-        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {bad!r}"):
-            inverse_search(5, seed=bad)
-
-    def test_controls_alone(self):
-        report = inverse_search(0, seed=4)
-        assert [h.is_control for h in report.hits] == [True, True, True]
-
-    def test_no_state_near_half(self):
-        report = inverse_search(2, seed=1, filter_tol=1e-9)
-        assert all(h.is_control for h in report.hits) and report.min_bloch_quantiles == {}
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1e-4, True, "1e-4"])
-    def test_filter_tol_validated(self, bad):
-        with pytest.raises(ValueError, match="filter_tol must be a finite number > 0"):
-            inverse_search(5, filter_tol=bad)

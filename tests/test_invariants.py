@@ -7,6 +7,7 @@ import pytest
 
 from entgeo import (
     CanonicalParams,
+    InvariantSet,
     LocalUnitary,
     apply_local_unitary,
     basis_state,
@@ -369,3 +370,9 @@ class TestInvariantSet:
     def test_non_three_qubit_rejected(self):
         with pytest.raises(ValueError):
             invariant_set(make_state(2, [1, 0, 0, 1]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t_named(self, bad):
+        # the range checks of b_* and tau reject a NaN there; t has no range
+        with pytest.raises(ValueError, match=f"t must be finite, got {bad}"):
+            InvariantSet(0.0, 0.0, 0.0, bad, 0.0)

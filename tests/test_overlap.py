@@ -198,7 +198,7 @@ class TestSolverContracts:
         # constants, not settings
         assert [f.name for f in dataclasses.fields(SolverConfig)] == ["restarts", "seed"]
         parser = build_parser()
-        for argv in (["overlap", "--builtin", "ghz"], ["inverse-search"]):
+        for argv in (["overlap", "--builtin", "ghz"], ["demo", "--name", "wn"]):
             with pytest.raises(SystemExit) as exc:
                 parser.parse_args([*argv, "--tol", "1e-9"])
             assert exc.value.code == 2

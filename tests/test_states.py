@@ -117,6 +117,15 @@ class TestMakeState:
         with pytest.raises(ValueError, match=re.escape(message)):
             build(n)
 
+    @pytest.mark.parametrize("build, factor, field", [
+        (ProductState, np.array([1.0, 0.0]), "spinors"), (LocalUnitary, np.eye(2), "matrices"),
+    ])
+    @pytest.mark.parametrize("count", [0, MAX_QUBITS + 1])
+    def test_factor_count_checked(self, build, factor, field, count):
+        # an empty product would have amplitudes [1] and no qubit
+        with pytest.raises(ValueError, match=f"{field} must hold 1..8 factors, got {count}"):
+            build((factor,) * count)
+
     def test_huge_finite_amplitudes_normalized(self):
         s = make_state(1, [1e200, 1e200])
         assert np.allclose(s.amplitudes, [1 / SQ2, 1 / SQ2], atol=1e-15)
