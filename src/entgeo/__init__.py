@@ -11,7 +11,6 @@ from .closedform import (
     InfeasibleQuadrilateralError,
     MiddleBranch,
     QuadrilateralParams,
-    TheoremCheckReport,
     WnReport,
     dicke4_state,
     ghz_overlap,
@@ -23,7 +22,6 @@ from .closedform import (
     random_feasible_quadrilateral,
     run_theorem_campaign,
     svd_branch_solutions,
-    theorem_check,
     wn_overlap,
     wn_state,
 )

@@ -198,7 +198,7 @@ def _cmd_canonicalize(args) -> int:
         print(f"canonicalization failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     canonical = canonical_to_state(params)
-    residual = 1.0 - apply_local_unitary(state, lu).fidelity(canonical)
+    residual = max(0.0, 1.0 - apply_local_unitary(state, lu).fidelity(canonical))  # +0.0, not -4e-16
     if args.format == "structured":
         doc = {
             "params": {

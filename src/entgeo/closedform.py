@@ -23,7 +23,6 @@ from .invariants import (  # noqa: F401  correlation_matrix is looked up here to
     _sextic_t_trace,
     bloch_vector,
     correlation_matrix,
-    invariant_set,
 )
 from .overlap import (
     SolverConfig,
@@ -43,7 +42,6 @@ from .states import (
     _require_positive,
     _sample_zero_bloch_rows,
     canonical_to_state,
-    permute_qubits,
 )
 
 
@@ -305,30 +303,6 @@ def svd_branch_solutions(p: CanonicalParams) -> BranchReport:
 # theorem verification
 
 
-@dataclass(frozen=True, eq=False)
-class TheoremCheckReport:
-    """Diagnostics for one zero-Bloch sample.
-
-    ``closed_form_path`` names the analytic route used ("quadrilateral" or
-    "svd").  The zero-mode residuals are |G^T b_first| and |G b_second| for
-    the two non-vanishing qubits, which must be the left and right zero
-    modes of their correlation matrix.
-    """
-
-    params: CanonicalParams
-    permutation: tuple[int, int, int]
-    closed_form_path: str
-    vanishing_qubit: int
-    min_bloch_length: float
-    t: float
-    left_zero_residual: float
-    right_zero_residual: float
-    closed_form_g_squared: float
-    numeric_g_squared: float
-    tolerance: float
-    passed: bool
-
-
 def _zero_mode_residuals(b_first: np.ndarray, b_second: np.ndarray, g: np.ndarray):
     """(S,) arrays |G^T b_first| and |G b_second| from the (S, 3) Bloch vectors
     and (S, 3, 3) correlation matrix of one ``_marginals`` pass over the two
@@ -338,7 +312,7 @@ def _zero_mode_residuals(b_first: np.ndarray, b_second: np.ndarray, g: np.ndarra
     return np.linalg.norm(left, axis=1), np.linalg.norm(right, axis=1)
 
 
-# first-pass budget of the zero-Bloch checks: their evidence is the bracket
+# first-pass budget of the zero-Bloch campaign: its evidence is the bracket
 # against the cut bound 1/2, closed on the manifold, not agreement among restarts
 _THEOREM_SOLVER = SolverConfig(restarts=2)
 # budget of the example families (``wn_overlap`` and ``entgeo demo``), where no
@@ -347,57 +321,9 @@ _EXAMPLE_SOLVER = SolverConfig(restarts=16)
 
 
 def _misses_half(tolerance: float):
-    """Re-solve predicate of the zero-Bloch checks: g^2 off 1/2 by more than
+    """Re-solve predicate of the zero-Bloch campaign: g^2 off 1/2 by more than
     half the tolerance."""
     return lambda g: np.abs(g - 0.5) > tolerance / 2
-
-
-def theorem_check(
-    p: CanonicalParams,
-    tolerance: float = 1e-7,
-    solver: SolverConfig | None = None,
-    permutation: tuple[int, int, int] = (0, 1, 2),
-) -> TheoremCheckReport:
-    """Verify that a zero-Bloch-vector sample has squared overlap 1/2.
-
-    The sample may be relabeled through ``permutation`` so the vanishing
-    Bloch vector lands on any qubit; the overlap is permutation invariant.
-    The numeric value comes from ``solver`` (default ``_THEOREM_SOLVER``, 2
-    restarts) and is re-solved once with ``solver.escalated()`` when its
-    polish stalls, its bracket against the cut bound 1/2 stays open after
-    the gate fired, or it misses 1/2 by more than half the tolerance, as in
-    ``run_theorem_campaign``.
-    """
-    _require_positive("tolerance", tolerance)
-    solver = solver or _THEOREM_SOLVER
-    state = permute_qubits(canonical_to_state(p), permutation)
-    if p.h <= 1e-14:
-        closed_path = "quadrilateral"
-        closed = quadrilateral_overlap(QuadrilateralParams(p.a, p.b, p.c, p.d)) ** 2
-    else:
-        closed_path = "svd"
-        closed = svd_branch_solutions(p).final_g_squared
-    inv = invariant_set(state)
-    lengths = np.array([inv.b_A, inv.b_B, inv.b_C])
-    vanishing = int(np.argmin(lengths))
-    tensor = state.tensor[None]
-    pair = (q for q in range(3) if q != vanishing)
-    left, right = _zero_mode_residuals(*_bloch_geometry(tensor, *pair))
-    numeric = _solve_overlaps(tensor, solver, _misses_half(tolerance))[0][0]
-    return TheoremCheckReport(
-        params=p,
-        permutation=tuple(permutation),
-        closed_form_path=closed_path,
-        vanishing_qubit=vanishing,
-        min_bloch_length=float(lengths[vanishing]),
-        t=inv.t,
-        left_zero_residual=float(left[0]),
-        right_zero_residual=float(right[0]),
-        closed_form_g_squared=float(closed),
-        numeric_g_squared=float(numeric),
-        tolerance=tolerance,
-        passed=bool(abs(numeric - 0.5) <= tolerance and abs(closed - 0.5) <= tolerance),
-    )
 
 
 @dataclass(frozen=True)
@@ -419,7 +345,7 @@ class CampaignReport:
     max_abs_t: float
     max_zero_mode_residual: float
     max_singular_value_error: float
-    rechecked: int  # samples re-solved with the escalated budget (``_solve_overlaps``)
+    rechecked: int  # samples answered by the escalated re-solve (``_solve_overlaps``)
     max_bracket_gap: float  # widest upper - g^2 against the one-qubit cut bound
     failures: tuple[CampaignFailure, ...] = field(default=())
 
@@ -460,7 +386,7 @@ def run_theorem_campaign(
     solver = solver or _THEOREM_SOLVER
     rows = _sample_zero_bloch_rows(family, np.random.default_rng(seed), n_samples)
     tensors = _canonical_tensors(rows)
-    g2, *_, rechecked, upper = _solve_overlaps(tensors, solver, _misses_half(tolerance))
+    g2, *_, resolved, upper = _solve_overlaps(tensors, solver, _misses_half(tolerance))
 
     rho_a, rho_b, rho_ab = _marginals(tensors)  # both families have b_C = 0
     g = _correlation(rho_ab)
@@ -485,7 +411,7 @@ def run_theorem_campaign(
         max_abs_t=float(np.abs(_sextic_t_trace(rho_a, rho_b, rho_ab)).max()),
         max_zero_mode_residual=float(max(left.max(), right.max())),
         max_singular_value_error=max_sv,
-        rechecked=rechecked,
+        rechecked=int(resolved.sum()),
         max_bracket_gap=float((upper - g2).max()),
         failures=failures,
     )

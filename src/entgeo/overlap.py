@@ -146,18 +146,22 @@ def _gauge_fix(spinor: np.ndarray) -> np.ndarray:
     return spinor * (np.conj(pivot) / abs(pivot))
 
 
+def _rank(g_squared: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """Order key of polished answers, larger is better: g^2 if converged (residual <=
+    ``_als.POLISHED_RESIDUAL``), else minus the residual, below every converged one."""
+    return np.where(residual <= _als.POLISHED_RESIDUAL, g_squared, -residual)
+
+
 def _best_polished(tensors: np.ndarray, cfg: SolverConfig, stop_at=None):
     """Best polished branch of ``cfg.restarts`` + 1 ALS runs (gated at
     ``stop_at``) for each state, in the order ``_solve_overlaps`` returns, with
     the (S,) gate flags last.  Of the runs ``_als.branches`` picks, polished as
-    one batch, a state keeps the best with a residual <=
-    ``_als.POLISHED_RESIDUAL``, else the least stalled one."""
+    one batch, a state keeps the one that ranks first by ``_rank``."""
     run = _als.power_iteration(tensors, cfg.restarts, cfg.seed, stop_at=stop_at)
     state, branch = _als.branches(run, _BRANCHES, _BRANCH_WINDOW)
     spinors, residual, g_squared = _als.polish_stationary(tensors[state],
                                                           run["spinors"][:, state, branch])
-    ok = residual <= _als.POLISHED_RESIDUAL
-    order = np.lexsort([np.where(ok, -g_squared, residual), ~ok, state])
+    order = np.lexsort([-_rank(g_squared, residual), state])
     pick = order[np.searchsorted(state[order], np.arange(len(tensors)))]  # first row per state
     return (g_squared[pick], spinors[:, pick], residual[pick],
             run["iterations"][state[pick], branch[pick]], run["gated"])
@@ -176,28 +180,32 @@ def _solve_overlaps(tensors: np.ndarray, cfg: SolverConfig, suspect=None):
     states whose polish stalls above ``_als.POLISHED_RESIDUAL``, whose gate
     fired but whose bracket ``upper - g2`` is still wider than
     ``_als.CLOSED_GAP``, or whose value ``suspect(g2)`` flags (the zero-Bloch
-    checks pass ``closedform._misses_half``, its one predicate), are re-solved
-    once, as one ungated batch, under ``cfg.escalated()``, and polished again.
+    campaign passes ``closedform._misses_half``, its one predicate), are
+    re-solved once, as one ungated batch, under ``cfg.escalated()``; a state
+    keeps the re-solve's polished answer unless pass 1's ranks above it (``_rank``).
 
     Returns (g_squared (S,), spinors as one (n, S, 2) block, residual (S,),
-    sweeps (S,), number of re-solved states, upper (S,)); sweeps are those of
-    the ALS run whose polish answered each state.
+    sweeps (S,), resolved (S,), upper (S,)); ``resolved`` flags the states
+    the re-solve answered, and sweeps are those of the ALS run whose polish
+    answered each state.
     """
     upper = _cut_bound(tensors)
     g_squared, spinors, residual, sweeps, gated = _best_polished(
         tensors, cfg, upper - _als.GATE_MARGIN
     )
     gated_open = gated & ~(upper - g_squared <= _als.CLOSED_GAP)
-    redo = ~(residual <= _als.POLISHED_RESIDUAL) | gated_open
+    resolved = ~(residual <= _als.POLISHED_RESIDUAL) | gated_open
     if suspect is not None:
-        redo |= suspect(g_squared)
-    redo = np.flatnonzero(redo)
-    if redo.size:
-        again = _best_polished(tensors[redo], cfg.escalated())
+        resolved |= suspect(g_squared)
+    if resolved.any():
+        again = _best_polished(tensors[resolved], cfg.escalated())
+        # a tie, or a NaN on either side, goes to the re-solve
+        wins = ~(_rank(again[0], again[2]) < _rank(g_squared, residual)[resolved])
+        resolved[resolved] = wins
         for whole, part in zip((g_squared, *spinors, residual, sweeps),
                                (again[0], *again[1], *again[2:4])):
-            whole[redo] = part
-    return g_squared, spinors, residual, sweeps, int(redo.size), upper
+            whole[resolved] = part[wins]
+    return g_squared, spinors, residual, sweeps, resolved, upper
 
 
 def nearest_product_state(s: PureState, cfg: SolverConfig | None = None) -> OverlapResult:
@@ -222,7 +230,7 @@ def nearest_product_state(s: PureState, cfg: SolverConfig | None = None) -> Over
         g_squared=float(g_squared[0]),
         product=product,
         lagrange=lagrange,
-        restarts_used=(cfg.escalated() if resolved else cfg).restarts + 1,
+        restarts_used=(cfg.escalated() if resolved[0] else cfg).restarts + 1,
         iterations=int(sweeps[0]),
         converged=residual <= _als.POLISHED_RESIDUAL,
         stationarity_residual=residual,

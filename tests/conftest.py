@@ -61,12 +61,26 @@ class AlsPasses(list):
             assert np.array_equal(self[1]["psis"], first["psis"][rows])
         return rows
 
+    def answered(self, rows: np.ndarray) -> np.ndarray:
+        """(S,) mask of the states the second call answered: of the re-solved
+        ``rows``, each whose second answer ranks at least as high as its first.
+        A converged answer (residual <= ``_als.POLISHED_RESIDUAL``) ranks above
+        a stalled one, two converged ones rank by g^2 and two stalled ones by
+        lower residual."""
+        out = np.zeros(len(self[0]["g_squared"]), dtype=bool)
+        if rows.size:
+            g1, r1 = self[0]["g_squared"][rows], self[0]["residual"][rows]
+            g2, r2 = self[1]["g_squared"], self[1]["residual"]
+            ok1, ok2 = r1 <= _als.POLISHED_RESIDUAL, r2 <= _als.POLISHED_RESIDUAL
+            out[rows] = np.where(ok1 == ok2, np.where(ok2, g2 >= g1, r2 <= r1), ok2)
+        return out
+
     def answer(self, key: str, rows: np.ndarray) -> np.ndarray:
-        """``key`` of every state from the pass that answered it: pass 1, with
-        the re-solved ``rows`` taken from the second call."""
+        """``key`` of every state from the pass that answered it: pass 1, or
+        the second call for the re-solved ``rows`` it answered (``answered``)."""
         out = self[0][key].copy()
         if rows.size:
-            out[rows] = self[1][key]
+            out[rows] = np.where(self.answered(rows)[rows], self[1][key], out[rows])
         return out
 
 

@@ -179,6 +179,17 @@ class TestCanonicalizeCommand:
         assert doc["params"]["h"] == pytest.approx(1 / math.sqrt(2), abs=1e-6)
         assert doc["infidelity"] < 1e-8
 
+    @pytest.mark.parametrize("fmt", ["structured", "human"])
+    def test_infidelity_is_never_negative(self, capsys, fmt):
+        # this state's reconstruction fidelity rounds to 1 + 4.4e-16
+        code, out, _ = run_cli(capsys, "canonicalize", "--builtin",
+                               "canonical:0.5,0.5,0.5,0.5,0,0", "--format", fmt)
+        assert code == 0
+        if fmt == "structured":
+            assert math.copysign(1.0, json.loads(out)["infidelity"]) == 1.0
+        else:
+            assert re.search(r"reconstruction infidelity = \d", out)
+
     def test_negative_restarts_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "canonicalize", "--builtin", "ghz", "--restarts", "-1")
         assert code == 2
@@ -364,7 +375,8 @@ class TestParserDefaults:
 
 class TestReadme:
     """The README's command examples and its list of solving commands name
-    exactly the subcommands the parser registers."""
+    exactly the subcommands the parser registers, and its library example
+    gives the values its comments state."""
 
     TEXT = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -382,3 +394,14 @@ class TestReadme:
         solving = [name for name, p in self.subcommands().items()
                    if any("--restarts" in a.option_strings for a in p._actions)]
         assert sorted(re.findall(r"`([a-z-]+)`", listed)) == sorted(solving)
+
+    def test_library_example_values(self, capsys):
+        block = re.search(r"## Library example\n\n```python\n(.*?)```", self.TEXT, re.S).group(1)
+        names = {}
+        exec(block, names)
+        capsys.readouterr()
+        inv = names["invariant_set"](names["state"])
+        for length in (inv.b_A, inv.b_B, inv.b_C):
+            assert length == pytest.approx(1 / 3, abs=1e-10)
+        assert inv.tau == pytest.approx(0.0, abs=1e-10)
+        assert names["result"].g_squared == pytest.approx(4 / 9, abs=1e-10)

@@ -30,14 +30,20 @@ from entgeo import (
     sample_zero_bloch_manifold,
     sextic_t_trace,
     svd_branch_solutions,
-    theorem_check,
     wn_overlap,
     wn_state,
 )
 from entgeo import _als
-from entgeo.closedform import _THEOREM_SOLVER, _zero_mode_residuals
-from entgeo.invariants import _bloch_geometry
-from entgeo.states import ZeroBlochFamily, _rho, _sample_zero_bloch, _sample_zero_bloch_rows
+from entgeo.closedform import _THEOREM_SOLVER, _misses_half, _zero_mode_residuals
+from entgeo.invariants import _bloch, _bloch_geometry
+from entgeo.overlap import _solve_overlaps
+from entgeo.states import (
+    ZeroBlochFamily,
+    _canonical_tensors,
+    _rho,
+    _sample_zero_bloch,
+    _sample_zero_bloch_rows,
+)
 
 FAST = SolverConfig(restarts=16)
 # with ``capped_pass_1`` a budget too small for the first pass, so that samples
@@ -70,6 +76,10 @@ class TestQuadrilateralOverlap:
     def test_zero_bloch_family_gives_half(self):
         p = QuadrilateralParams(0.6, math.sqrt(0.14), 0.5, 0.5)
         assert quadrilateral_overlap(p) ** 2 == pytest.approx(0.5, abs=1e-10)
+        for seed in range(10):
+            s = sample_zero_bloch_manifold("quadrilateral", seed=seed)
+            p = QuadrilateralParams(s.a, s.b, s.c, s.d)
+            assert quadrilateral_overlap(p) ** 2 == pytest.approx(0.5, abs=1e-10)
 
     def test_product_identity(self):
         # (ac + bd)(bc + ad) = (c^2 + d^2) ab + (a^2 + b^2) cd exactly
@@ -249,43 +259,6 @@ class TestSvdBranches:
 
 
 class TestTheoremCheck:
-    @pytest.mark.parametrize("family,path", [
-        ("quadrilateral", "quadrilateral"),
-        ("h-nonzero", "svd"),
-    ])
-    def test_families_pass(self, family, path):
-        for seed in range(10):
-            p = sample_zero_bloch_manifold(family, seed=seed)
-            report = theorem_check(p)
-            assert report.passed
-            assert report.closed_form_path == path
-            assert report.min_bloch_length <= 1e-10
-            assert abs(report.t) <= 1e-10
-            assert report.left_zero_residual <= 1e-10
-            assert report.right_zero_residual <= 1e-10
-            assert report.closed_form_g_squared == pytest.approx(0.5, abs=1e-10)
-            assert report.numeric_g_squared == pytest.approx(0.5, abs=1e-7)
-
-    def test_stragglers_rechecked(self, capped_pass_1):
-        # the campaign's samples under a budget that leaves some off 1/2 at first
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            p = _sample_zero_bloch(ZeroBlochFamily.QUADRILATERAL, rng)
-            assert theorem_check(p, solver=STRAGGLING).passed
-
-    @pytest.mark.parametrize("permutation", [(2, 0, 1), (0, 2, 1), (2, 1, 0)])
-    def test_permuted_variants_pass(self, permutation):
-        for seed in range(5):
-            p = sample_zero_bloch_manifold("h-nonzero", seed=seed)
-            report = theorem_check(p, permutation=permutation)
-            assert report.passed
-            assert report.vanishing_qubit == permutation.index(2)
-
-    def test_bool_permutation_named(self):
-        with pytest.raises(ValueError, match=r"perm\[0\] must be an integer"):
-            theorem_check(sample_zero_bloch_manifold("h-nonzero", seed=0),
-                          permutation=(True, False, 2))
-
     def test_campaign(self):
         for family in ("quadrilateral", "h-nonzero"):
             report = run_theorem_campaign(family, n_samples=200, seed=7)
@@ -299,6 +272,21 @@ class TestTheoremCheck:
             assert doc["family"] == family
             assert doc["samples"] == 200
             assert doc["failures"] == []
+
+    # the mixed qubit C moved to A, moved to B, or left on C
+    PLACEMENTS = [(0, 3, 1, 2), (0, 1, 3, 2), (0, 1, 2, 3)]
+
+    @pytest.mark.parametrize("family", list(ZeroBlochFamily))
+    def test_any_qubit_may_be_the_mixed_one(self, family):
+        rows = _sample_zero_bloch_rows(family, np.random.default_rng(7), 200)
+        tensors = _canonical_tensors(rows)
+        for axes in self.PLACEMENTS:
+            moved = np.transpose(tensors, axes)
+            assert np.abs(_bloch(_rho(moved, (axes.index(3) - 1,)))).max() <= 1e-12
+            g2, *_, resolved, upper = _solve_overlaps(moved, _THEOREM_SOLVER)
+            assert np.abs(g2 - 0.5).max() <= 1e-7
+            assert (upper - g2).max() <= _als.CLOSED_GAP
+            assert not resolved.any()
 
     def test_zero_mode_residuals_batch_equals_batch_of_one(self):
         states = [canonical_to_state(sample_zero_bloch_manifold(f, seed=k))
@@ -366,8 +354,6 @@ class TestTheoremCheck:
     def test_tolerance_validated(self, bad):
         with pytest.raises(ValueError, match="tolerance must be a finite number > 0"):
             run_theorem_campaign("quadrilateral", 5, tolerance=bad)
-        with pytest.raises(ValueError, match="tolerance must be a finite number > 0"):
-            theorem_check(sample_zero_bloch_manifold("quadrilateral", seed=1), tolerance=bad)
 
     def test_campaign_deterministic(self):
         a = run_theorem_campaign("quadrilateral", n_samples=50, seed=3)
@@ -564,6 +550,28 @@ class TestBatchedResolve:
         assert report.rechecked == stragglers.size == 7
         assert report.to_dict()["rechecked"] == 7
 
+    # sample 619 of ``run_theorem_campaign("quadrilateral", 1000, seed=100)``
+    HOOK_ONLY = (0.7049177372269828, 0.05559661628903746, 0.06495253915548302,
+                 0.704117296803065, 0.0, 0.0)
+
+    def test_suspect_hook_alone_rescues_a_local_maximum(self, als_passes):
+        rows = _sample_zero_bloch_rows(ZeroBlochFamily.QUADRILATERAL, np.random.default_rng(100),
+                                       1000)
+        assert rows[619].tolist() == list(self.HOOK_ONLY)
+        tensors = _canonical_tensors(np.array([self.HOOK_ONLY]))
+        cfg = SolverConfig(restarts=1, seed=2)
+        # pass 1 converges to a local maximum below the cut bound 1/2; its gate
+        # never fires, so neither the stall rule nor the gate re-solves it
+        g2, _, residual, _, resolved, upper = _solve_overlaps(tensors, cfg)
+        assert als_passes.resolved_rows(cfg).size == 0 and not als_passes[0]["gated"][0]
+        assert g2[0] == pytest.approx(0.4969090162572, abs=1e-12)
+        assert residual[0] <= _als.POLISHED_RESIDUAL and not resolved[0]
+        assert upper[0] == pytest.approx(0.5, abs=1e-15)
+        als_passes.clear()
+        g2, *_, resolved, _ = _solve_overlaps(tensors, cfg, _misses_half(1e-7))
+        assert als_passes.resolved_rows(cfg, _misses_half(1e-7)).tolist() == [0]
+        assert resolved[0] and g2[0] == pytest.approx(0.5, abs=1e-12)
+
     def test_campaign_without_stragglers_solves_once(self, als_passes):
         report = run_theorem_campaign("h-nonzero", 50, seed=2)
         assert report.passed and report.rechecked == 0
@@ -578,19 +586,3 @@ class TestBatchedResolve:
         assert report.rechecked == flagged.size > 0
         g2 = als_passes.answer("g_squared", flagged)
         assert [f.index for f in report.failures] == list(np.flatnonzero(np.abs(g2 - 0.5) > 1e-17))
-
-    @pytest.mark.parametrize("family", list(ZeroBlochFamily))
-    def test_theorem_check_equals_campaign_row(self, als_passes, family):
-        report = run_theorem_campaign(family, 40, seed=4)
-        stragglers = als_passes.resolved_rows(_THEOREM_SOLVER, self.off_half(report.tolerance))
-        g2 = als_passes.answer("g_squared", stragglers)
-        rows = _sample_zero_bloch_rows(family, np.random.default_rng(4), 40)
-        assert [theorem_check(CanonicalParams(*row)).numeric_g_squared for row in rows] == list(g2)
-
-    def test_theorem_check_resolves_a_straggler(self, capped_pass_1, als_passes):
-        rng = np.random.default_rng(11)
-        p = [_sample_zero_bloch(ZeroBlochFamily.QUADRILATERAL, rng) for _ in range(2)][1]
-        report = theorem_check(p, solver=STRAGGLING)
-        assert als_passes.resolved_rows(STRAGGLING, self.off_half(report.tolerance)).tolist() == [0]
-        assert abs(als_passes[0]["g_squared"][0] - 0.5) > 1e-3  # the first pass misses 1/2
-        assert report.passed and report.numeric_g_squared == als_passes[1]["g_squared"][0]

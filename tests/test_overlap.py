@@ -271,7 +271,7 @@ class TestDominanceStop:
         assert np.flatnonzero(stopped.any(axis=1)).tolist() == [0, 1, 3, 4]
         assert np.flatnonzero(run["gated"]).tolist() == [2]
         batch = _solve_overlaps(tensors, cfg)
-        assert batch[4] == 0
+        assert not batch[4].any()
         for i in range(len(states)):
             one = _als.power_iteration(tensors[i : i + 1], cfg.restarts, cfg.seed,
                                        stop_at=stop_at[i : i + 1])
@@ -324,13 +324,13 @@ class TestSweepGuard:
             states += [apply_local_unitary(named(n), LocalUnitary.random(n, seed=k))
                        for named in (ghz_state, w_state) for k in range(5)]
             resolved.append(_solve_overlaps(np.stack([s.tensor for s in states]),
-                                            SolverConfig())[4])
+                                            SolverConfig())[4].sum())
         near = self.near_manifold(50, seed=0)
-        resolved += [_solve_overlaps(near, cfg)[4] for cfg in (SolverConfig(), _THEOREM_SOLVER)]
+        resolved += [_solve_overlaps(near, cfg)[4].sum() for cfg in (SolverConfig(), _THEOREM_SOLVER)]
         # criterion-8 samples 117 and 140 stall in pass 1 and are re-solved
         rng = np.random.default_rng(7)
         quads = [random_feasible_quadrilateral(rng).to_state().tensor for _ in range(500)]
-        resolved.append(_solve_overlaps(np.stack(quads), FAST)[4])
+        resolved.append(_solve_overlaps(np.stack(quads), FAST)[4].sum())
         _canonicalize(np.stack([haar_random_state(3, seed=k).tensor for k in range(10)]),
                       _CANON_RESTARTS, 0)
         assert max(sweeps.max() for _, sweeps in calls) < _als.MAX_ITERATIONS
@@ -346,7 +346,7 @@ class TestSweepGuard:
         tensors = canonical_to_state(self.SLOW_RESOLVE).tensor[None]
         calls = _record_runs(monkeypatch)
         guarded = _solve_overlaps(tensors, SolverConfig())
-        assert guarded[3][0] == 102 and guarded[4] == 1
+        assert guarded[3][0] == 102 and guarded[4].tolist() == [True]
         assert (calls[1][1] == _als.MAX_ITERATIONS).sum() == 7
         # the cap is read at call time: under a 4x cap the re-solve's runs go on
         with als_budget(sweeps=4 * _als.MAX_ITERATIONS):
@@ -356,19 +356,24 @@ class TestSweepGuard:
             assert np.array_equal(a, b)
 
     # (a, b, c, d, h, gamma) of h-nonzero zero-Bloch samples with d moved by -1e-3
-    # and renormalized: both passes stall near a residual of 7e-4, and the least
-    # stalled answer comes from slow runs of the ungated re-solve; a dominance
-    # stop there would leave all three at 0.4992923932, up to 3.5e-4 lower
+    # and renormalized: both passes stall near a residual of 7e-4, and the
+    # re-solve's least stalled answers come from its slow runs; a dominance stop
+    # there would leave all three at 0.4992923932, up to 3.5e-4 lower
     SLOW_RUNS = np.array([
         [0.6919208215515138, 0.13023064015305524, 0, 0.7066062504813514, 0.07066232270092311, 0],
         [0.6771003211709838, 0.19580338295109626, 0, 0.7066062504813513, 0.062480373524353185, 0],
         [0.6743997211378231, 0.2051622898312556, 0, 0.7066062504813513, 0.06165271884603458, 0],
     ])
 
-    def test_resolve_keeps_its_slow_runs(self):
+    def test_resolve_keeps_its_slow_runs(self, als_passes):
         g2, *_, resolved, _ = _solve_overlaps(_canonical_tensors(self.SLOW_RUNS), _THEOREM_SOLVER)
-        assert resolved == 3
-        assert np.all(g2 >= np.array([0.49964317804, 0.49942426695, 0.49940878536]) - 1e-9)
+        redo = als_passes.resolved_rows(_THEOREM_SOLVER)
+        assert redo.tolist() == [0, 1, 2]
+        resolve = als_passes[1]["g_squared"]
+        assert np.all(resolve >= np.array([0.49964317804, 0.49942426695, 0.49940878536]) - 1e-9)
+        # each row keeps its less stalled pass: the re-solve for row 0 only
+        assert resolved.tolist() == [True, False, False]
+        assert np.array_equal(g2, als_passes.answer("g_squared", redo))
 
 
 # at 16 restarts the runs of this state's best basin freeze 6e-6 below the
@@ -885,7 +890,7 @@ class TestSolvePath:
         # pass 1: runs frozen at the coarse tolerance, each state's best one
         # polished; the stalled rows are re-solved (see the stalled-polish test)
         redo = als_passes.resolved_rows(cfg)
-        assert resolved == redo.size
+        assert np.array_equal(resolved, als_passes.answered(redo))
         assert np.array_equal(sweeps, als_passes.answer("sweeps", redo))
         assert np.array_equal(g2, als_passes.answer("g_squared", redo))
         assert np.array_equal(residual, als_passes.answer("residual", redo))
@@ -913,7 +918,7 @@ class TestSolvePath:
         # one re-solve of those rows alone, under the escalated budget and frozen
         # at _als.COARSE_TOL like pass 1
         redo = als_passes.resolved_rows(FAST)
-        assert redo.tolist() == stalled and resolved == len(stalled)
+        assert redo.tolist() == np.flatnonzero(resolved).tolist() == stalled
         assert np.array_equal(sweeps, als_passes.answer("sweeps", redo))
         closed = np.array([quadrilateral_overlap(params[i]) ** 2 for i in stalled])
         assert np.abs(g2[stalled] - closed).max() <= 1e-12
@@ -941,8 +946,8 @@ class TestSolvePath:
             for whole, one in zip((batch[0], *batch[1], *batch[2:4], batch[5]),
                                   (alone[0], *alone[1], *alone[2:4], alone[5])):
                 assert np.array_equal(whole[i], one[0])
-            assert alone[4] == (i in (1, 4))
-        assert redo.tolist() == [1, 4] and batch[4] == 2
+            assert alone[4][0] == (i in (1, 4))
+        assert redo.tolist() == np.flatnonzero(batch[4]).tolist() == [1, 4]
         assert np.abs(batch[0][2:3] - 0.5).max() <= 1e-15
         assert np.abs(batch[0][5:-1] - 0.5).max() <= 1e-15
         assert batch[0][-1] == pytest.approx(grid_overlap_sq(SLOW_BASIN.amplitudes), abs=1e-9)
@@ -953,13 +958,15 @@ class TestSolvePath:
         # gated-open and re-solved once, ungated, under the escalated budget
         tensors = np.stack([haar_random_state(3, seed=seed).tensor for seed in range(8)])
         ungated = _solve_overlaps(tensors, FAST)
-        assert not als_passes[0]["gated"].any() and ungated[4] == 0
+        assert not als_passes[0]["gated"].any() and not ungated[4].any()
         als_passes.clear()
         monkeypatch.setattr(_als, "GATE_MARGIN", 1.0)
         g2, *_, resolved, upper = _solve_overlaps(tensors, FAST)
         assert als_passes[0]["gated"].all()
         assert np.all(upper - als_passes[0]["g_squared"] > _als.CLOSED_GAP)
-        assert als_passes.resolved_rows(FAST).tolist() == list(range(8)) and resolved == 8
+        redo = als_passes.resolved_rows(FAST)
+        assert redo.tolist() == list(range(8))
+        assert np.array_equal(resolved, als_passes.answered(redo))
         assert np.all(g2 >= ungated[0] - 1e-12)
 
     def test_resolved_state_reports_the_answering_pass(self, monkeypatch, als_passes):
@@ -974,10 +981,28 @@ class TestSolvePath:
         assert result.g_squared == als_passes[1]["g_squared"][0]
         assert not result.converged
 
+    def test_resolve_never_replaces_a_better_first_pass(self, als_passes):
+        # a near-manifold h-nonzero row whose polish stalls in both passes; the
+        # re-solve ends lower and more stalled, so pass 1 answers
+        p = CanonicalParams(0.6785218410738321, 0.1939989489396796, 0.0,
+                            0.7066512750138159, 0.05115168147212384, 0.0)
+        cfg = SolverConfig(restarts=2)
+        result = nearest_product_state(canonical_to_state(p), cfg)
+        assert als_passes.resolved_rows(cfg).tolist() == [0]
+        first, second = als_passes
+        assert second["g_squared"][0] < first["g_squared"][0] - 6e-5
+        assert second["residual"][0] > first["residual"][0] > _als.POLISHED_RESIDUAL
+        assert result.g_squared == first["g_squared"][0]
+        assert result.g_squared == pytest.approx(0.4994648462658, abs=1e-12)
+        assert result.stationarity_residual == first["residual"][0]
+        assert result.restarts_used == cfg.restarts + 1
+        assert result.iterations == first["sweeps"][0]
+
     @pytest.mark.parametrize("n", [4, 5, 6])
-    def test_resolve_matches_a_tightly_frozen_reference(self, monkeypatch, n):
+    def test_resolve_matches_a_tightly_frozen_reference(self, monkeypatch, als_passes, n):
         # every row is re-solved; the re-solve freezes at _als.COARSE_TOL and
-        # must reach the polished best run of the same budget frozen at 1e-13
+        # must reach the polished best run of the same budget frozen at 1e-13.
+        # Both passes count as stalled, so a row keeps its lower-residual pass
         accepted = _als.POLISHED_RESIDUAL
         monkeypatch.setattr(_als, "POLISHED_RESIDUAL", 0.0)
         states = [haar_random_state(n, seed=900 + 10 * n + k) for k in range(3)]
@@ -985,7 +1010,11 @@ class TestSolvePath:
             states.append(apply_local_unitary(w_state(4), LocalUnitary.random(4, seed=9)))
         tensors = np.stack([s.tensor for s in states])
         g2, _, residual, _, resolved, _ = _solve_overlaps(tensors, FAST)
-        assert resolved == len(states) and residual.max() <= accepted
+        redo = als_passes.resolved_rows(FAST)
+        assert redo.size == len(states) and residual.max() <= accepted
+        assert np.array_equal(resolved, als_passes.answered(redo))
+        assert np.array_equal(g2, als_passes.answer("g_squared", redo))
+        g2 = als_passes[1]["g_squared"]
         esc = FAST.escalated()
         with als_budget(tol=1e-13):
             tight = _als.power_iteration(tensors, esc.restarts, esc.seed)
