@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _als
 from .invariants import _bloch_geometry
-from .states import ProductState, PureState, _cut_bound, _require_int
+from .states import _CUT_SLACK, ProductState, PureState, _cut_bound, _require_int
 
 _ESCALATION = 4  # the re-solve budget's factor on restarts (``escalated()``)
 # a slow run of the best basin can freeze below a fast local maximum, so the
@@ -78,11 +78,19 @@ def _off_unit(v: np.ndarray, tol: float) -> bool:
     return not abs(np.linalg.norm(v) - 1.0) <= tol
 
 
+def _shaped(name: str, v, shape=(3,)) -> np.ndarray:
+    """``v`` as a float array, which must have ``shape``; the error names ``name``."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {v.shape}")
+    return v
+
+
 def bloch_to_spinor(v) -> np.ndarray:
     """Spinor with Bloch vector ``v``, |0> component real nonnegative."""
-    v = np.asarray(v, dtype=float)
+    v = _shaped("v", v)
     if _off_unit(v, 1e-10):
-        raise ValueError("input must be a finite unit 3-vector")
+        raise ValueError("v must be a finite unit 3-vector")
     return _als._spinors_from_bloch(v[2], math.atan2(v[1], v[0]))
 
 
@@ -108,21 +116,21 @@ def quarter_form(x, y, bloch_a, bloch_b, corr) -> float:
     underlying three-qubit state; the third qubit's optimum is implicit in
     the two-qubit marginal.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y, bloch_a, bloch_b = (_shaped(name, v) for name, v in
+                              (("x", x), ("y", y), ("bloch_a", bloch_a), ("bloch_b", bloch_b)))
+    corr = _shaped("corr", corr, (3, 3))
     if _off_unit(x, 1e-10) or _off_unit(y, 1e-10):
         raise ValueError("x and y must be finite unit 3-vectors")
     if not all(np.isfinite(a).all() for a in (bloch_a, bloch_b, corr)):
         raise ValueError("bloch_a, bloch_b and corr must be finite")
-    return float(0.25 * (1.0 + x @ bloch_a + y @ bloch_b + x @ (np.asarray(corr) @ y)))
+    return float(0.25 * (1.0 + x @ bloch_a + y @ bloch_b + x @ (corr @ y)))
 
 
 def stationarity_residual(s: PureState, x, y, lam1: float, lam2: float) -> float:
     """|G y + b_A - lambda_1 x| + |G^T x + b_B - lambda_2 y| for a 3-qubit state."""
     if s.n_qubits != 3:
         raise ValueError("stationarity residual is defined for three-qubit states")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _shaped("x", x), _shaped("y", y)
     if _off_unit(x, 1e-8) or _off_unit(y, 1e-8):
         raise ValueError("x and y must be finite unit 3-vectors")
     if not math.isfinite(lam1) or not math.isfinite(lam2):
@@ -167,7 +175,7 @@ def _best_polished(tensors: np.ndarray, cfg: SolverConfig, stop_at=None):
             run["iterations"][state[pick], branch[pick]], run["gated"])
 
 
-def _solve_overlaps(tensors: np.ndarray, cfg: SolverConfig, suspect=None):
+def _solve_overlaps(tensors: np.ndarray, cfg: SolverConfig):
     """Best polished ALS run for each state of an (S, 2, ..., 2) batch.
 
     Both passes run the ALS under the budget of ``_als``: it only has to find
@@ -177,12 +185,14 @@ def _solve_overlaps(tensors: np.ndarray, cfg: SolverConfig, suspect=None):
     all stop once one of them freezes within ``_als.GATE_MARGIN`` of its
     ``upper``.  From sweep ``_als.COARSE_SWEEPS`` on, it also stops each run
     below a frozen run of its own state, where it can still be polished.  The
-    states whose polish stalls above ``_als.POLISHED_RESIDUAL``, whose gate
-    fired but whose bracket ``upper - g2`` is still wider than
-    ``_als.CLOSED_GAP``, or whose value ``suspect(g2)`` flags (the zero-Bloch
-    campaign passes ``closedform._misses_half``, its one predicate), are
-    re-solved once, as one ungated batch, under ``cfg.escalated()``; a state
-    keeps the re-solve's polished answer unless pass 1's ranks above it (``_rank``).
+    one re-solve rule: a state is re-solved when its polish stalls above
+    ``_als.POLISHED_RESIDUAL``, or when its bracket ``upper - g2`` should close
+    but is wider than ``_als.CLOSED_GAP``: when the gate fired, or on three
+    qubits when ``upper`` is 1/2 within ``states._CUT_SLACK`` (a completely
+    mixed qubit, so g^2 = 1/2 by the paper's theorem; on four, Dicke_4 has
+    g^2 = 3/8).  Flagged states are re-solved once, as one ungated batch,
+    under ``cfg.escalated()``; a state keeps the re-solve's polished answer
+    unless pass 1's ranks above it (``_rank``).
 
     Returns (g_squared (S,), spinors as one (n, S, 2) block, residual (S,),
     sweeps (S,), resolved (S,), upper (S,)); ``resolved`` flags the states
@@ -193,10 +203,9 @@ def _solve_overlaps(tensors: np.ndarray, cfg: SolverConfig, suspect=None):
     g_squared, spinors, residual, sweeps, gated = _best_polished(
         tensors, cfg, upper - _als.GATE_MARGIN
     )
-    gated_open = gated & ~(upper - g_squared <= _als.CLOSED_GAP)
-    resolved = ~(residual <= _als.POLISHED_RESIDUAL) | gated_open
-    if suspect is not None:
-        resolved |= suspect(g_squared)
+    should_close = gated | (tensors.ndim == 4) & (upper <= 0.5 + _CUT_SLACK)
+    resolved = ~(residual <= _als.POLISHED_RESIDUAL)
+    resolved |= should_close & ~(upper - g_squared <= _als.CLOSED_GAP)
     if resolved.any():
         again = _best_polished(tensors[resolved], cfg.escalated())
         # a tie, or a NaN on either side, goes to the re-solve

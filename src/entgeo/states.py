@@ -20,6 +20,7 @@ from . import _als
 
 NORM_ATOL = 1e-12
 MAX_QUBITS = 8
+_CUT_SLACK = 1e-14  # rounding slack of the computed cut bound (``_cut_bound``)
 
 
 class StateFormatError(ValueError):
@@ -304,7 +305,7 @@ def _cut_bound(tensors: np.ndarray) -> np.ndarray:
     mixed.  lambda_max of each 2x2 marginal is taken in closed form.  Rounding
     slack: on states that attain the bound (LU-rotated product, GHZ and
     generalized GHZ states of 2 to 8 qubits) the polished g^2 exceeds the
-    computed bound by at most 2.2e-15, so compare with a slack of 1e-14.
+    computed bound by at most 2.2e-15, so compare with ``_CUT_SLACK``.
     """
     rho = np.stack([_rho(tensors, [q]) for q in range(tensors.ndim - 1)], axis=1)
     a, d = rho[..., 0, 0].real, rho[..., 1, 1].real

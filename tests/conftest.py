@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from entgeo import _als, overlap
-from entgeo.states import _cut_bound
+from entgeo.states import _CUT_SLACK, _cut_bound
 
 
 @contextmanager
@@ -33,25 +33,27 @@ class AlsPasses(list):
     ``g_squared``, ``residual`` and ``sweeps`` of each state's answer after the
     Newton polish (``polished_branches``)."""
 
-    def resolved_rows(self, cfg, suspect=None) -> np.ndarray:
-        """Check that the calls so far are one ``_solve_overlaps(psis, cfg,
-        suspect)`` and return the rows it re-solved.
+    def resolved_rows(self, cfg) -> np.ndarray:
+        """Check that the calls so far are one ``_solve_overlaps(psis, cfg)``
+        and return the rows it re-solved.
 
         Pass 1 runs under ``cfg``, gated at each state's cut bound less
         ``_als.GATE_MARGIN``.  Exactly the rows that are stalled (polish above
-        ``_als.POLISHED_RESIDUAL``), gated-open (gate fired, cut bound still
-        more than ``_als.CLOSED_GAP`` above g^2) or ``suspect`` are re-solved,
-        in one more ungated call under ``cfg.escalated()``; there is no third
-        call.
+        ``_als.POLISHED_RESIDUAL``) or open (cut bound still more than
+        ``_als.CLOSED_GAP`` above g^2) where the bracket should close (gate
+        fired, or three qubits with a cut bound of 1/2 within
+        ``states._CUT_SLACK``) are re-solved, in one more ungated call under
+        ``cfg.escalated()``; there is no third call.
         """
         first = self[0]
         assert first["budget"] == (cfg.restarts, cfg.seed)
         upper = _cut_bound(first["psis"])
         assert np.array_equal(first["stop_at"], upper - _als.GATE_MARGIN)
+        should_close = first["gated"]
+        if first["psis"].ndim == 4:
+            should_close = should_close | (upper <= 0.5 + _CUT_SLACK)
         flagged = ~(first["residual"] <= _als.POLISHED_RESIDUAL)
-        flagged |= first["gated"] & ~(upper - first["g_squared"] <= _als.CLOSED_GAP)
-        if suspect is not None:
-            flagged |= suspect(first["g_squared"])
+        flagged |= should_close & ~(upper - first["g_squared"] <= _als.CLOSED_GAP)
         rows = np.flatnonzero(flagged)
         assert len(self) == (2 if rows.size else 1)
         if rows.size:

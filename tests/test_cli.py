@@ -16,6 +16,7 @@ from entgeo import (
     closedform,
     ghz_state,
     ghz_theta_state,
+    make_state,
     nearest_product_state,
     save_state,
     state_from_dict,
@@ -168,6 +169,13 @@ class TestOverlapCommand:
         assert code == 2
         assert err == "error: restarts must be an integer >= 1, got 0\n"
 
+    def test_one_qubit_file_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "one.json"
+        save_state(make_state(1, [1.0, 0.0]), path)
+        code, out, err = run_cli(capsys, "overlap", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: the product overlap needs at least 2 qubits\n"
+
 
 class TestCanonicalizeCommand:
     def test_ghz(self, capsys):
@@ -201,6 +209,11 @@ class TestCanonicalizeCommand:
         assert code == 2
         assert out == ""
         assert err == "error: seed must be an integer >= 0, got -1\n"
+
+    def test_four_qubits_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "canonicalize", "--builtin", "dicke4")
+        assert code == 2 and out == ""
+        assert err == "error: canonicalization is defined for three-qubit states\n"
 
     def test_round_trips_through_state_format(self, capsys):
         code, out, _ = run_cli(capsys, "canonicalize", "--builtin", "w",

@@ -9,8 +9,10 @@ import pytest
 from entgeo import (
     CanonicalParams,
     InfeasibleQuadrilateralError,
+    LocalUnitary,
     QuadrilateralParams,
     SolverConfig,
+    apply_local_unitary,
     canonical_to_state,
     dicke4_state,
     ghz_overlap,
@@ -34,7 +36,7 @@ from entgeo import (
     wn_state,
 )
 from entgeo import _als
-from entgeo.closedform import _THEOREM_SOLVER, _misses_half, _zero_mode_residuals
+from entgeo.closedform import _THEOREM_SOLVER, _zero_mode_residuals
 from entgeo.invariants import _bloch, _bloch_geometry
 from entgeo.overlap import _solve_overlaps
 from entgeo.states import (
@@ -486,6 +488,15 @@ class TestDicke4:
         assert g2 == pytest.approx(3 / 8, abs=1e-7)
         assert abs(g2 - 0.5) > 0.1
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cut_bound_one_half_on_four_qubits_is_not_resolved(self, seed):
+        # the cut bound is 1/2 but the theorem is for three qubits: no re-solve
+        state = apply_local_unitary(dicke4_state(), LocalUnitary.random(4, seed=seed))
+        result = nearest_product_state(state)
+        assert result.upper_bound == pytest.approx(0.5, abs=1e-14)
+        assert result.restarts_used == 65
+        assert result.g_squared == pytest.approx(3 / 8, abs=1e-7)
+
 
 class TestConverse:
     """g^2 = 1/2 does not force a zero Bloch vector.  On the path
@@ -535,54 +546,55 @@ class TestConverse:
 
 
 class TestBatchedResolve:
-    @staticmethod
-    def off_half(tolerance):
-        return lambda g: np.abs(g - 0.5) > 0.5 * tolerance
-
     def test_campaign_resolves_stragglers_in_one_batch(self, capped_pass_1, als_passes):
         report = run_theorem_campaign("quadrilateral", 100, seed=11, solver=STRAGGLING)
         assert als_passes[0]["psis"].shape == (100, 2, 2, 2)
         # this budget leaves stragglers after the first pass; one batch re-solves them
-        stragglers = als_passes.resolved_rows(STRAGGLING, self.off_half(report.tolerance))
+        stragglers = als_passes.resolved_rows(STRAGGLING)
         g2 = als_passes.answer("g_squared", stragglers)
         assert report.passed
         assert report.max_g2_error == float(np.abs(g2 - 0.5).max()) <= 1e-7
         assert report.rechecked == stragglers.size == 7
         assert report.to_dict()["rechecked"] == 7
 
-    # sample 619 of ``run_theorem_campaign("quadrilateral", 1000, seed=100)``
-    HOOK_ONLY = (0.7049177372269828, 0.05559661628903746, 0.06495253915548302,
-                 0.704117296803065, 0.0, 0.0)
+    # sample 619 of ``run_theorem_campaign("quadrilateral", 1000, seed=100)``, which only
+    # the mixed-qubit clause of the re-solve rule re-solves at one restart
+    MIXED_QUBIT_ONLY = (0.7049177372269828, 0.05559661628903746, 0.06495253915548302,
+                        0.704117296803065, 0.0, 0.0)
 
-    def test_suspect_hook_alone_rescues_a_local_maximum(self, als_passes):
+    def test_mixed_qubit_alone_rescues_a_local_maximum(self, als_passes):
         rows = _sample_zero_bloch_rows(ZeroBlochFamily.QUADRILATERAL, np.random.default_rng(100),
                                        1000)
-        assert rows[619].tolist() == list(self.HOOK_ONLY)
-        tensors = _canonical_tensors(np.array([self.HOOK_ONLY]))
+        assert rows[619].tolist() == list(self.MIXED_QUBIT_ONLY)
+        tensors = _canonical_tensors(np.array([self.MIXED_QUBIT_ONLY]))
         cfg = SolverConfig(restarts=1, seed=2)
-        # pass 1 converges to a local maximum below the cut bound 1/2; its gate
-        # never fires, so neither the stall rule nor the gate re-solves it
+        # pass 1 converges to a local maximum 0.4969090162572 below the cut bound 1/2
+        # and its gate never fires; the completely mixed qubit alone gets it re-solved
         g2, _, residual, _, resolved, upper = _solve_overlaps(tensors, cfg)
-        assert als_passes.resolved_rows(cfg).size == 0 and not als_passes[0]["gated"][0]
-        assert g2[0] == pytest.approx(0.4969090162572, abs=1e-12)
-        assert residual[0] <= _als.POLISHED_RESIDUAL and not resolved[0]
+        assert als_passes.resolved_rows(cfg).tolist() == [0] and not als_passes[0]["gated"][0]
+        assert als_passes[0]["g_squared"][0] == pytest.approx(0.4969090162572, abs=1e-12)
+        assert als_passes[0]["residual"][0] <= _als.POLISHED_RESIDUAL
         assert upper[0] == pytest.approx(0.5, abs=1e-15)
-        als_passes.clear()
-        g2, *_, resolved, _ = _solve_overlaps(tensors, cfg, _misses_half(1e-7))
-        assert als_passes.resolved_rows(cfg, _misses_half(1e-7)).tolist() == [0]
         assert resolved[0] and g2[0] == pytest.approx(0.5, abs=1e-12)
+        assert residual[0] <= _als.POLISHED_RESIDUAL
+
+    def test_nearest_product_state_rescues_the_same_local_maximum(self):
+        state = canonical_to_state(CanonicalParams(*self.MIXED_QUBIT_ONLY))
+        result = nearest_product_state(state, SolverConfig(restarts=1, seed=2))
+        assert result.converged and result.restarts_used == 5
+        assert result.g_squared == pytest.approx(0.5, abs=1e-12)
 
     def test_campaign_without_stragglers_solves_once(self, als_passes):
         report = run_theorem_campaign("h-nonzero", 50, seed=2)
         assert report.passed and report.rechecked == 0
-        assert als_passes.resolved_rows(_THEOREM_SOLVER, self.off_half(report.tolerance)).size == 0
+        assert als_passes.resolved_rows(_THEOREM_SOLVER).size == 0
 
-    def test_default_budget_escalates_flagged_samples(self, als_passes):
-        # a tolerance below rounding flags every sample not exactly at 1/2
+    def test_tolerance_only_decides_the_verdict(self, als_passes):
+        # a tolerance below rounding fails every sample not exactly at 1/2, but
+        # re-solves none: each bracket is already closed
         report = run_theorem_campaign("h-nonzero", 20, seed=1, tolerance=1e-17)
-        cfg = _THEOREM_SOLVER
-        flagged = als_passes.resolved_rows(cfg, self.off_half(report.tolerance))
-        assert als_passes[1]["budget"] == (4 * cfg.restarts, cfg.seed + 1)
-        assert report.rechecked == flagged.size > 0
-        g2 = als_passes.answer("g_squared", flagged)
-        assert [f.index for f in report.failures] == list(np.flatnonzero(np.abs(g2 - 0.5) > 1e-17))
+        assert als_passes.resolved_rows(_THEOREM_SOLVER).size == 0
+        g2 = als_passes[0]["g_squared"]
+        assert report.rechecked == 0 and report.max_g2_error == float(np.abs(g2 - 0.5).max())
+        assert [f.index for f in report.failures] == list(np.flatnonzero(g2 != 0.5)) == [*range(20)]
+        assert run_theorem_campaign("h-nonzero", 20, seed=1).max_g2_error == report.max_g2_error

@@ -44,6 +44,7 @@ from entgeo.closedform import _THEOREM_SOLVER, run_theorem_campaign
 from entgeo.overlap import _best_polished, _solve_overlaps
 from entgeo.states import (
     _CANON_RESTARTS,
+    _CUT_SLACK,
     CanonicalParams,
     ZeroBlochFamily,
     _canonical_tensors,
@@ -57,8 +58,6 @@ from conftest import als_budget
 from oracles import grid_overlap_sq
 
 FAST = SolverConfig(restarts=16)
-# rounding slack of g^2 <= the one-qubit cut bound (``states._cut_bound``)
-BOUND_SLACK = 1e-14
 
 
 class TestKnownValues:
@@ -84,7 +83,7 @@ class TestKnownValues:
         for state, bound in ((ghz_state(3), 0.5), (w_state(3), 2 / 3), (dicke4_state(), 0.5)):
             result = nearest_product_state(state, FAST)
             assert result.upper_bound == pytest.approx(bound, abs=1e-15)
-            assert result.g_squared <= result.upper_bound + BOUND_SLACK
+            assert result.g_squared <= result.upper_bound + _CUT_SLACK
 
     def test_product_state_converges_fast(self):
         result = nearest_product_state(basis_state(3, 5), FAST)
@@ -484,6 +483,15 @@ class TestQuarterForm:
         with pytest.raises(ValueError, match="must be finite"):
             quarter_form(z, z, b_a, b_b, np.where(np.eye(3) > 0, bad, g))
 
+    def test_wrong_shape_named(self):
+        z, b, g = [0.0, 0.0, 1.0], [0.1, 0.2, 0.0], np.eye(3)
+        for args, name in ((([1, 0], z, b, b, g), "x"), ((z, [0, 0, 0, 1], b, b, g), "y"),
+                           ((z, z, [0.1, 0.2], b, g), "bloch_a"),
+                           ((z, z, b, [[0.1, 0.2, 0.0]], g), "bloch_b"),
+                           ((z, z, b, b, np.eye(2)), "corr")):
+            with pytest.raises(ValueError, match=rf"^{name} must have shape"):
+                quarter_form(*args)
+
     def test_maximum_equals_solver(self):
         # the form at the solver's Bloch vectors x, y reproduces its g^2
         for seed in range(15):
@@ -516,6 +524,13 @@ class TestStationarityResidual:
             stationarity_residual(ghz_state(3), z, [0.0, bad, 1.0], 1.0, 1.0)
         with pytest.raises(ValueError, match="lam1 and lam2 must be finite"):
             stationarity_residual(ghz_state(3), z, z, 1.0, bad)
+
+    def test_wrong_shape_named(self):
+        z = [0.0, 0.0, 1.0]
+        with pytest.raises(ValueError, match=re.escape("x must have shape (3,), got (4,)")):
+            stationarity_residual(ghz_state(3), [0, 0, 0, 1], z, 1.0, 1.0)
+        with pytest.raises(ValueError, match=re.escape("y must have shape (3,), got (2,)")):
+            stationarity_residual(ghz_state(3), z, [0, 1], 1.0, 1.0)
 
     def test_converged_result_satisfies_stationarity(self):
         s = haar_random_state(3, seed=77)
@@ -567,6 +582,11 @@ class TestSpinorBloch:
             bloch_to_spinor([0, 0, 0.5])
         with pytest.raises(ValueError):
             spinor_to_bloch([1.0, 1.0])
+
+    @pytest.mark.parametrize("v", [[0, 0, 0, 1], [1, 0], [[0, 0, 1]]])
+    def test_bloch_to_spinor_wrong_shape_named(self, v):
+        with pytest.raises(ValueError, match=r"^v must have shape \(3,\)"):
+            bloch_to_spinor(v)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_bloch_to_spinor_non_finite_rejected(self, bad):
@@ -886,7 +906,7 @@ class TestSolvePath:
         tensors = np.stack([s.tensor for s in states])
         cfg = SolverConfig(restarts=8, seed=5)
         g2, spinors, residual, sweeps, resolved, upper = _solve_overlaps(tensors, cfg)
-        assert np.array_equal(upper, _cut_bound(tensors)) and np.all(g2 <= upper + BOUND_SLACK)
+        assert np.array_equal(upper, _cut_bound(tensors)) and np.all(g2 <= upper + _CUT_SLACK)
         # pass 1: runs frozen at the coarse tolerance, each state's best one
         # polished; the stalled rows are re-solved (see the stalled-polish test)
         redo = als_passes.resolved_rows(cfg)
