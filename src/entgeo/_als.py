@@ -1,13 +1,14 @@
 """Batched rank-1 power iteration on dense qubit amplitude tensors.
 
-This is the workhorse behind the maximal-product-overlap solver and the
-canonical-form search (ALS/HOPM, De Lathauwer, De Moor and Vandewalle, SIAM J.
-Matrix Anal. Appl. 21, 2000): cycling over qubits, each local spinor is
-replaced by the normalized contraction of the state against all other current
-spinors, which is monotonically non-decreasing in the overlap.  Each
-contraction is a chain of stacked ``matmul`` calls, one qubit axis at a time,
-on right environments cached once per sweep.  Many independent restarts (and
-states) are iterated as one flat batch, their spinors one (n, rows, 2) block.
+This is the workhorse behind the maximal-product-overlap solver, whose
+answer the canonical form is read from (ALS/HOPM, De Lathauwer, De Moor and
+Vandewalle, SIAM J. Matrix Anal. Appl. 21, 2000): cycling over qubits, each
+local spinor is replaced by the normalized contraction of the state against
+all other current spinors, which is monotonically non-decreasing in the
+overlap.  Each contraction is a chain of stacked ``matmul`` calls, one qubit
+axis at a time, on right environments cached once per sweep.  Many
+independent restarts (and states) are iterated as one flat batch, their
+spinors one (n, rows, 2) block.
 
 Every call runs under one budget, which its callers neither choose nor see:
 a restart freezes once its squared overlap changes by less than
@@ -16,7 +17,8 @@ the state's gate.  A gated pass also stops, unconverged, each run that from
 sweep ``COARSE_SWEEPS`` on lies below a frozen run of its own state; such a
 run, like one stopped by the sweep cap ``MAX_ITERATIONS``, reports
 ``converged`` false.  ``branches`` picks the distinct runs to Newton-polish,
-stopped runs included.
+stopped runs included: at most ``BRANCHES`` of each state within
+``BRANCH_WINDOW`` of its best.
 """
 
 from __future__ import annotations
@@ -37,6 +39,11 @@ CLOSED_GAP = 1e-10
 # and, from sweep COARSE_SWEEPS on, each run that is below a frozen run of its own state
 COARSE_SWEEPS = 40
 BRANCH_RADIUS = 1e-2  # max-norm Bloch distance within which two runs are one branch
+# near g^2 = 1/2 the ridge is flat, so coarse runs scatter along it and a slow run
+# of the best basin can freeze below a fast local maximum: each state polishes its
+# best BRANCHES distinct runs within BRANCH_WINDOW of its best coarse run
+BRANCHES = 6
+BRANCH_WINDOW = 1e-4
 
 _POLISH_STEPS = 12
 _PERP_SIGNS = np.array([-1.0, 1.0])
@@ -186,15 +193,15 @@ def power_iteration(psis: np.ndarray, restarts: int, seed, stop_at=None):
     }
 
 
-def branches(run, limit=None, window=np.inf):
+def branches(run):
     """(state, run) index arrays of the coarse runs of a ``power_iteration``
     output worth polishing, by state and then descending ``g_squared``: each
-    state's runs within ``window`` of its best, less every run whose Bloch
-    vectors all lie within ``BRANCH_RADIUS`` of an earlier run's (a copy of that
-    branch) and all but the best run of a gated state; with a ``limit``, the
-    first ``limit`` of them.  Only the state's own runs are read."""
+    state's runs within ``BRANCH_WINDOW`` of its best, less every run whose
+    Bloch vectors all lie within ``BRANCH_RADIUS`` of an earlier run's (a copy
+    of that branch) and all but the best run of a gated state; of those, the
+    first ``BRANCHES``.  Only the state's own runs are read."""
     g2 = run["g_squared"]
-    n_near = (g2 >= g2.max(axis=1, keepdims=True) - window).sum(axis=1)
+    n_near = (g2 >= g2.max(axis=1, keepdims=True) - BRANCH_WINDOW).sum(axis=1)
     n_near[run["gated"]] = 1
     wide = n_near.max(initial=0)
     order = np.argsort(-g2, axis=1, kind="stable")[:, :wide]
@@ -203,18 +210,17 @@ def branches(run, limit=None, window=np.inf):
         x = _bloch_from_spinors(run["spinors"][:, np.arange(len(g2))[:, None], order])
         x = x.transpose(1, 0, 3, 2).reshape(len(g2), -1, wide)  # (S, 3n, runs)
         step = max(1, 2**15 // x.size)  # runs i per (S, 3n, i, j) block of <= 2**15 entries
-        # a run's fate depends only on earlier runs, so the runs go in blocks, in order;
-        # with a limit, a first block of 2 * limit runs often settles every state
-        bounds = sorted({*range(1, wide, step), min(2 * (limit or wide), wide), wide})
+        # a run's fate depends only on earlier runs, so the runs go in blocks, in
+        # order; a first block of 2 * BRANCHES runs often settles every state
+        bounds = sorted({*range(1, wide, step), min(2 * BRANCHES, wide), wide})
         for i, end in zip(bounds, bounds[1:]):
             d = np.abs(x[:, :, i:end, None] - x[:, :, None, :end]).max(axis=1)  # max norm
             earlier = np.arange(i, end)[:, None] > np.arange(end)
             keep[:, i:end] &= ~(earlier & (d < BRANCH_RADIUS)).any(axis=2)
-            settled = (keep[:, :end].sum(axis=1) >= (limit or wide)) | (n_near <= end)
+            settled = (keep[:, :end].sum(axis=1) >= BRANCHES) | (n_near <= end)
             if settled.all():
                 break
-    if limit is not None:
-        keep &= np.cumsum(keep, axis=1) <= limit
+    keep &= np.cumsum(keep, axis=1) <= BRANCHES
     state, rank = np.nonzero(keep)
     return state, order[state, rank]
 

@@ -19,10 +19,6 @@ from .invariants import _bloch_geometry
 from .states import _CUT_SLACK, ProductState, PureState, _cut_bound, _require_int
 
 _ESCALATION = 4  # the re-solve budget's factor on restarts (``escalated()``)
-# a slow run of the best basin can freeze below a fast local maximum, so the
-# _BRANCHES best distinct runs within _BRANCH_WINDOW of a state's best are polished
-_BRANCHES = 2
-_BRANCH_WINDOW = 1e-4
 
 
 @dataclass(frozen=True)
@@ -31,9 +27,9 @@ class SolverConfig:
 
     ``restarts`` random initializations are run, plus one deterministic start
     at the largest-magnitude basis amplitude, each under the ALS budget of
-    ``_als``, and up to two distinct runs of each state within 1e-4 of its
-    best are polished (``_best_polished``); the re-solve pass runs under
-    ``escalated()`` (see ``_solve_overlaps``).
+    ``_als``, and up to ``_als.BRANCHES`` distinct runs of each state within
+    ``_als.BRANCH_WINDOW`` of its best are polished (``_best_polished``); the
+    re-solve pass runs under ``escalated()`` (see ``_solve_overlaps``).
     """
 
     restarts: int = 64
@@ -78,9 +74,9 @@ def _off_unit(v: np.ndarray, tol: float) -> bool:
     return not abs(np.linalg.norm(v) - 1.0) <= tol
 
 
-def _shaped(name: str, v, shape=(3,)) -> np.ndarray:
-    """``v`` as a float array, which must have ``shape``; the error names ``name``."""
-    v = np.asarray(v, dtype=float)
+def _shaped(name: str, v, shape=(3,), dtype=float) -> np.ndarray:
+    """``v`` as a ``dtype`` array, which must have ``shape``; the error names ``name``."""
+    v = np.asarray(v, dtype=dtype)
     if v.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {v.shape}")
     return v
@@ -95,10 +91,10 @@ def bloch_to_spinor(v) -> np.ndarray:
 
 
 def spinor_to_bloch(spinor) -> np.ndarray:
-    """Bloch vector of a normalized spinor."""
-    c = np.asarray(spinor, dtype=complex).reshape(-1)
-    if c.size != 2 or _off_unit(c, 1e-10):
-        raise ValueError("input must be a finite normalized 2-spinor")
+    """Bloch vector of a normalized spinor of shape (2,)."""
+    c = _shaped("spinor", spinor, (2,), complex)
+    if _off_unit(c, 1e-10):
+        raise ValueError("spinor must be a finite normalized 2-spinor")
     return _als._bloch_from_spinors(c)
 
 
@@ -154,22 +150,17 @@ def _gauge_fix(spinor: np.ndarray) -> np.ndarray:
     return spinor * (np.conj(pivot) / abs(pivot))
 
 
-def _rank(g_squared: np.ndarray, residual: np.ndarray) -> np.ndarray:
-    """Order key of polished answers, larger is better: g^2 if converged (residual <=
-    ``_als.POLISHED_RESIDUAL``), else minus the residual, below every converged one."""
-    return np.where(residual <= _als.POLISHED_RESIDUAL, g_squared, -residual)
-
-
 def _best_polished(tensors: np.ndarray, cfg: SolverConfig, stop_at=None):
     """Best polished branch of ``cfg.restarts`` + 1 ALS runs (gated at
     ``stop_at``) for each state, in the order ``_solve_overlaps`` returns, with
     the (S,) gate flags last.  Of the runs ``_als.branches`` picks, polished as
-    one batch, a state keeps the one that ranks first by ``_rank``."""
+    one batch, a state keeps the one with the highest polished g^2, stalled or
+    not: each is an attained overlap, so a valid lower bound."""
     run = _als.power_iteration(tensors, cfg.restarts, cfg.seed, stop_at=stop_at)
-    state, branch = _als.branches(run, _BRANCHES, _BRANCH_WINDOW)
+    state, branch = _als.branches(run)
     spinors, residual, g_squared = _als.polish_stationary(tensors[state],
                                                           run["spinors"][:, state, branch])
-    order = np.lexsort([-_rank(g_squared, residual), state])
+    order = np.lexsort([-g_squared, state])
     pick = order[np.searchsorted(state[order], np.arange(len(tensors)))]  # first row per state
     return (g_squared[pick], spinors[:, pick], residual[pick],
             run["iterations"][state[pick], branch[pick]], run["gated"])
@@ -191,8 +182,9 @@ def _solve_overlaps(tensors: np.ndarray, cfg: SolverConfig):
     qubits when ``upper`` is 1/2 within ``states._CUT_SLACK`` (a completely
     mixed qubit, so g^2 = 1/2 by the paper's theorem; on four, Dicke_4 has
     g^2 = 3/8).  Flagged states are re-solved once, as one ungated batch,
-    under ``cfg.escalated()``; a state keeps the re-solve's polished answer
-    unless pass 1's ranks above it (``_rank``).
+    under ``cfg.escalated()``.  The one answer rule: a state's answer is its
+    highest polished g^2, within a pass and between the two, with a tie or a
+    NaN going to the re-solve.
 
     Returns (g_squared (S,), spinors as one (n, S, 2) block, residual (S,),
     sweeps (S,), resolved (S,), upper (S,)); ``resolved`` flags the states
@@ -208,8 +200,7 @@ def _solve_overlaps(tensors: np.ndarray, cfg: SolverConfig):
     resolved |= should_close & ~(upper - g_squared <= _als.CLOSED_GAP)
     if resolved.any():
         again = _best_polished(tensors[resolved], cfg.escalated())
-        # a tie, or a NaN on either side, goes to the re-solve
-        wins = ~(_rank(again[0], again[2]) < _rank(g_squared, residual)[resolved])
+        wins = ~(again[0] < g_squared[resolved])
         resolved[resolved] = wins
         for whole, part in zip((g_squared, *spinors, residual, sweeps),
                                (again[0], *again[1], *again[2:4])):

@@ -523,8 +523,6 @@ _GAUGE_BITS = np.array([[i >> 2 & 1, i >> 1 & 1, i & 1, 1] for i in range(8)], d
 _ZERO_AMP = 1e-10
 _CANON_RESIDUAL_TOL = 1e-9
 _CANON_RESTARTS = 32
-# the branches gauge-fixed: polished within _BRANCH_FLOOR of the state's best
-_BRANCH_FLOOR = 1e-5
 
 
 def _gauge_fix(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -568,67 +566,51 @@ def canonicalize(
 ) -> tuple[CanonicalParams, LocalUnitary]:
     """Find local unitaries taking a three-qubit state to its canonical form.
 
-    Every stationary product state of the overlap with nonzero value yields a
-    representative: the state read in the basis (e, perp(e)) of each qubit's
-    spinor e.  The search runs ``restarts`` random starts (an integer >= 0)
-    plus one basis start under the ALS budget of ``_als``, seeded with
-    ``seed`` (an integer >= 0).  It drops
-    each run whose Bloch vectors all lie within ``_als.BRANCH_RADIUS`` (1e-2)
-    of an earlier run's in overlap order (``_als.branches``), Newton-polishes
-    the remaining runs as one batch, keeps the branches within 1e-5 of the
-    best of the polished overlaps, and among all representatives reaching a
-    residual of 1e-9 returns the lexicographically largest (d, h, a, b, c,
-    gamma), each rounded to 9 decimals; a remaining tie goes to the first
-    branch in overlap order.  On states whose maximisers form a continuum (W-like
-    states) the tie-break picks whichever polished point the runs sampled,
-    so the params can move by about 1e-11 with the seed.
-    gamma lies in (-pi/2, pi/2] to within 1e-12, on the pi/2 side: a value
-    within 1e-12 of -pi/2 is returned as pi/2, since adding pi to every qubit
-    phase maps one onto the other.
+    The representative is the state read in the basis (e, perp(e)) of each
+    spinor e of its nearest product state, so its |000> amplitude d is the
+    maximal product overlap (Acín et al., PRL 85, 1560, 2000).  That product
+    state is the answer of one overlap solve under ``SolverConfig(restarts,
+    seed)`` (``overlap._solve_overlaps``: its gate, its branch policy and its
+    re-solve rule), so ``restarts`` must be an integer >= 1 and ``seed`` one
+    >= 0.  The phases are then fixed so that amplitudes 0, 3, 5 and 6 are real
+    and nonnegative; a representative whose amplitudes 1, 2 and 4 do not
+    vanish to a residual of 1e-9 raises ``CanonicalizationError``.  On states
+    whose maximisers form a continuum (W-like states) the params depend on
+    which polished point the runs sampled, so they can move by about 1e-11
+    with the seed.  gamma lies in (-pi/2, pi/2] to within 1e-12, on the pi/2
+    side: a value within 1e-12 of -pi/2 is returned as pi/2, since adding pi
+    to every qubit phase maps one onto the other.
 
     The returned unitaries map ``s`` onto ``canonical_to_state(params)``
-    exactly (global phase included).  The random starts depend only on
-    ``restarts`` and ``seed``, so the answer is the same bit for bit when the
-    state is canonicalized inside a batch (``_canonicalize``).
+    exactly (global phase included).  The solve's answer does not depend on
+    its batch, so neither does the canonical form (``_canonicalize``).
     """
+    from .overlap import SolverConfig  # overlap imports this module
+
     if s.n_qubits != 3:
         raise ValueError("canonicalization is defined for three-qubit states")
-    _require_int("restarts", restarts, 0)
-    _require_int("seed", seed, 0)
-    return _canonicalize(s.tensor[None], restarts, seed)[0]
+    return _canonicalize(s.tensor[None], SolverConfig(restarts, seed))[0]
 
 
-def _canonicalize(tensors: np.ndarray, restarts: int, seed) -> list:
-    """``canonicalize`` of every state of an (S, 2, 2, 2) batch, unvalidated, as
-    a list of (params, unitaries): one ALS over the batch, one polish and one
-    gauge fix of the branches of every state."""
-    run = _als.power_iteration(tensors, restarts, seed)
-    state, branch = _als.branches(run)
-    psis, starts = tensors[state], run["spinors"][:, state, branch]
-    polished, _, overlaps = _als.polish_stationary(psis, starts)
-    # only branches tied with a state's best polished overlap can win its (d, ...)
-    # tie-break, since d equals the overlap at the branch's stationary point; the
-    # coarse overlaps are no test, a slow run of the best basin freezes far below it
-    best = np.zeros(len(tensors))
-    np.maximum.at(best, state, overlaps)
-    live = overlaps >= best[state] - _BRANCH_FLOOR
-    state, psis, polished = state[live], psis[live], polished[:, live]
-    rows, theta, residual = _gauge_fix(_als._frame_amplitudes(psis.conj(), polished).conj())
-    # per state, the failing branches last, then descending (d, h, a, b, c, gamma);
-    # the stable sort keeps overlap order among ties
-    failing = ~(residual <= _CANON_RESIDUAL_TOL)
-    order = np.lexsort([*-np.round(rows[:, [5, 2, 1, 0, 4, 3]], 9).T, failing, state])
+def _canonicalize(tensors: np.ndarray, cfg) -> list:
+    """``canonicalize`` of every state of an (S, 2, 2, 2) batch under the
+    ``SolverConfig`` ``cfg``, unvalidated, as a list of (params, unitaries):
+    one overlap solve and one gauge fix of every state's answer."""
+    from .overlap import _solve_overlaps  # overlap imports this module
+
+    spinors = _solve_overlaps(tensors, cfg)[1]
+    rows, theta, residual = _gauge_fix(_als._frame_amplitudes(tensors.conj(), spinors).conj())
     out = []
-    for k in order[np.r_[True, np.diff(state[order]) != 0]]:
-        if failing[k]:
+    for k in range(len(tensors)):
+        if not residual[k] <= _CANON_RESIDUAL_TOL:
             raise CanonicalizationError(
                 f"no canonical representative reached residual {_CANON_RESIDUAL_TOL:g} "
-                f"after {restarts} restarts"
+                f"after {cfg.restarts} restarts"
             )
         # frame rows (e^dagger, perp(e)^dagger), the gauge phase on each |1> row
         # and the global phase on qubit A
         mats = [np.diag([1.0, np.exp(1j * th)]) @ np.stack([e[k], _als._perp(e[k])]).conj()
-                for th, e in zip(theta[k, :3], polished)]
+                for th, e in zip(theta[k, :3], spinors)]
         mats[0] = np.exp(1j * theta[k, 3]) * mats[0]
         out.append((CanonicalParams(*rows[k].tolist()), LocalUnitary(tuple(mats))))
     return out

@@ -6,7 +6,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from entgeo import _als, overlap
+from entgeo import _als
 from entgeo.states import _CUT_SLACK, _cut_bound
 
 
@@ -65,16 +65,11 @@ class AlsPasses(list):
 
     def answered(self, rows: np.ndarray) -> np.ndarray:
         """(S,) mask of the states the second call answered: of the re-solved
-        ``rows``, each whose second answer ranks at least as high as its first.
-        A converged answer (residual <= ``_als.POLISHED_RESIDUAL``) ranks above
-        a stalled one, two converged ones rank by g^2 and two stalled ones by
-        lower residual."""
+        ``rows``, each whose second g^2 is not below its first, stalled or not
+        (a tie or a NaN goes to the second call)."""
         out = np.zeros(len(self[0]["g_squared"]), dtype=bool)
         if rows.size:
-            g1, r1 = self[0]["g_squared"][rows], self[0]["residual"][rows]
-            g2, r2 = self[1]["g_squared"], self[1]["residual"]
-            ok1, ok2 = r1 <= _als.POLISHED_RESIDUAL, r2 <= _als.POLISHED_RESIDUAL
-            out[rows] = np.where(ok1 == ok2, np.where(ok2, g2 >= g1, r2 <= r1), ok2)
+            out[rows] = ~(self[1]["g_squared"] < self[0]["g_squared"][rows])
         return out
 
     def answer(self, key: str, rows: np.ndarray) -> np.ndarray:
@@ -91,12 +86,12 @@ def polished_branches(psis, out):
     run: (g_squared, residual, sweeps) arrays.
 
     The candidates are a state's runs in descending coarse g^2, each within
-    ``overlap._BRANCH_WINDOW`` of the best, less every run whose Bloch vectors
+    ``_als.BRANCH_WINDOW`` of the best, less every run whose Bloch vectors
     all lie within ``_als.BRANCH_RADIUS`` of an earlier run's; a gated state
-    has only its best run.  The first ``overlap._BRANCHES`` candidates are
-    polished, and the answer is the best one whose residual is at most
-    ``_als.POLISHED_RESIDUAL``, else the lowest-residual one.  The best run
-    always survives, so a converged polish of it bounds the answer from below.
+    has only its best run.  The first ``_als.BRANCHES`` candidates are
+    polished, and the answer is the one with the highest polished g^2,
+    stalled or not.  The best run always survives, so its polish bounds the
+    answer from below.
     """
     answers = []
     for s, g2 in enumerate(out["g_squared"]):
@@ -104,14 +99,13 @@ def polished_branches(psis, out):
         blochs = _als._bloch_from_spinors(out["spinors"][:, s]).transpose(1, 0, 2)  # (R, n, 3)
         picked = []
         for i, k in enumerate(ranked[: 1 if out["gated"][s] else None]):
-            if len(picked) == overlap._BRANCHES or g2[k] < g2[ranked[0]] - overlap._BRANCH_WINDOW:
+            if len(picked) == _als.BRANCHES or g2[k] < g2[ranked[0]] - _als.BRANCH_WINDOW:
                 break
             if all(np.abs(blochs[k] - blochs[j]).max() >= _als.BRANCH_RADIUS for j in ranked[:i]):
                 picked.append(k)
         _, residual, value = _als.polish_stationary(
             np.repeat(psis[s : s + 1], len(picked), axis=0), out["spinors"][:, s, picked])
-        ok = residual <= _als.POLISHED_RESIDUAL
-        i = np.flatnonzero(ok)[np.argmax(value[ok])] if ok.any() else np.argmin(residual)
+        i = np.argmax(value)
         answers.append((value[i], residual[i], out["iterations"][s, picked[i]]))
     return tuple(np.array(col) for col in zip(*answers))
 

@@ -95,7 +95,7 @@ def test_criterion_04_dual_formula_suite():
     worst_t = 0.0
     worst_tau = 0.0
     haar = [haar_random_state(3, seed=seed) for seed in range(1000)]
-    canonical = _canonicalize(np.stack([s.tensor for s in haar]), 32, 0)
+    canonical = _canonicalize(np.stack([s.tensor for s in haar]), SolverConfig(restarts=32))
     for s, (params, _) in zip(haar, canonical):
         worst_t = max(worst_t, abs(sextic_t_trace(s) - sextic_t_bloch(s)))
         worst_tau = max(worst_tau, abs(three_tangle(s) - three_tangle_canonical(params)))

@@ -10,6 +10,7 @@ from entgeo import (
     CanonicalParams,
     LocalUnitary,
     ProductState,
+    SolverConfig,
     apply_local_unitary,
     canonical_to_state,
     canonicalize,
@@ -18,6 +19,7 @@ from entgeo import (
     haar_random_state,
     invariant_set,
     make_state,
+    nearest_product_state,
     random_feasible_quadrilateral,
     three_tangle,
     three_tangle_canonical,
@@ -25,7 +27,7 @@ from entgeo import (
 )
 from entgeo import _als
 from entgeo._als import haar_bloch_spinors
-from entgeo.states import _GAUGE_BITS, _canonicalize, _gauge_fix
+from entgeo.states import _GAUGE_BITS, _canonicalize, _cut_bound, _gauge_fix
 
 from conftest import als_budget
 from oracles import grid_overlap_sq
@@ -140,8 +142,6 @@ class TestContracts:
         assert abs(out[0].imag) < 1e-9
 
     def test_representative_d_is_maximal_overlap(self):
-        from entgeo import SolverConfig, nearest_product_state
-
         s = haar_random_state(3, seed=33)
         p, _ = canonicalize(s)
         g2 = nearest_product_state(s, SolverConfig(restarts=32)).g_squared
@@ -155,9 +155,9 @@ class TestContracts:
         assert p.d**2 == pytest.approx(grid_overlap_sq(s.amplitudes), abs=1e-10)
         assert reconstruction_infidelity(s, p, lu) < 1e-8
 
-    @pytest.mark.parametrize("restarts", [-1, 2.5, True, "4"])
+    @pytest.mark.parametrize("restarts", [0, -1, 2.5, True, "4"])
     def test_restarts_validated(self, restarts):
-        with pytest.raises(ValueError, match="restarts"):
+        with pytest.raises(ValueError, match=f"restarts must be an integer >= 1, got {restarts!r}"):
             canonicalize(ghz_state(3), restarts=restarts)
 
     @pytest.mark.parametrize("bad", [None, -1, 1.5, True])
@@ -166,8 +166,9 @@ class TestContracts:
             canonicalize(ghz_state(3), seed=bad)
 
     def test_solver_budget(self, monkeypatch):
-        # one ungated ALS call, under the freeze and sweep cap that _als reads at
-        # call time; the branches are frozen coarse and the polish finishes each one
+        # one overlap solve: its gated pass 1 alone answers this state, under the
+        # freeze and sweep cap that _als reads at call time; the runs are frozen
+        # coarse and the polish finishes the answer
         calls = []
         run = _als.power_iteration
 
@@ -182,7 +183,9 @@ class TestContracts:
         for budget in ({"sweeps": 3}, {"tol": 1e-13}):
             with als_budget(**budget):
                 params.append(canonicalize(s)[0])
-        assert calls == [(None, 8), (None, 3), (None, 13)]
+        stop_at = _cut_bound(s.tensor[None]) - _als.GATE_MARGIN
+        assert [it for _, it in calls] == [8, 3, 13]
+        assert all(np.array_equal(gate, stop_at) for gate, _ in calls)
         first = dataclasses.astuple(params[0])
         for p in params[1:]:
             assert dataclasses.astuple(p) == pytest.approx(first, abs=1e-12)
@@ -196,22 +199,25 @@ class TestContracts:
             return polish(psis, spinors)
 
         monkeypatch.setattr(_als, "polish_stationary", recording)
+        # LU-rotated GHZ reaches its cut bound 1/2, so the gate stops its runs
+        # and only its best one is polished
         ghz_lu = apply_local_unitary(ghz_state(3), LocalUnitary.random(3, seed=3))
         canonicalize(ghz_lu)
-        assert len(calls) == 1
-        # one row per GHZ branch, |000> and |111> rotated: orthogonal on every qubit
-        assert calls[0][0].shape == (2, 2)
-        for sp in calls[0]:
-            assert abs(np.vdot(sp[0], sp[1])) < 1e-6
+        assert len(calls) == 1 and calls[0][0].shape == (1, 2)
         calls.clear()
-        # W ties on a continuous family, so every run is its own branch
+        # W ties on a continuous family, so every run is its own branch, and the
+        # first _als.BRANCHES of them are polished, pairwise distinct
         w_lu = apply_local_unitary(w_state(3), LocalUnitary.random(3, seed=3))
         canonicalize(w_lu, restarts=8)
-        assert len(calls) == 1 and calls[0][0].shape == (9, 2)
+        assert len(calls) == 1 and calls[0][0].shape == (_als.BRANCHES, 2)
+        blochs = _als._bloch_from_spinors(np.stack(calls[0]))  # (n, rows, 3)
+        for j in range(_als.BRANCHES):
+            for k in range(j):
+                assert np.abs(blochs[:, j] - blochs[:, k]).max() >= _als.BRANCH_RADIUS
         calls.clear()
         # a mixed batch polishes the branches of every state in one call
-        _canonicalize(np.stack([ghz_lu.tensor, w_lu.tensor]), 8, 0)
-        assert len(calls) == 1 and calls[0][0].shape == (2 + 9, 2)
+        _canonicalize(np.stack([ghz_lu.tensor, w_lu.tensor]), SolverConfig(restarts=8))
+        assert len(calls) == 1 and calls[0][0].shape == (1 + _als.BRANCHES, 2)
 
     def test_batch_rows_equal_scalar_calls(self):
         states = [haar_random_state(3, seed=70 + k) for k in range(4)]
@@ -229,7 +235,7 @@ class TestContracts:
             product = ProductState(tuple(haar_bloch_spinors(rng, (3,)))).amplitudes()
             for s in (ghz_state(3), w_state(3), basis_state(3, k % 8), make_state(3, product)):
                 states.append(apply_local_unitary(s, LocalUnitary.random(3, seed=rng)))
-        batch = _canonicalize(np.stack([s.tensor for s in states]), 32, 0)
+        batch = _canonicalize(np.stack([s.tensor for s in states]), SolverConfig(restarts=32))
         assert len(batch) == len(states) >= 1000
         for i in [*range(checked), *range(checked, len(states), 40)]:
             alone, alone_lu = canonicalize(states[i])
@@ -243,18 +249,13 @@ class TestContracts:
         # and leave the most branches to deduplicate and polish
         states = [apply_local_unitary(w_state(3), LocalUnitary.random(3, seed=200 + k))
                   for k in range(12)]
-        batch = _canonicalize(np.stack([s.tensor for s in states]), 32, 0)
+        batch = _canonicalize(np.stack([s.tensor for s in states]), SolverConfig(restarts=32))
         for s, (params, lu) in zip(states, batch):
             alone, alone_lu = canonicalize(s)
             assert params == alone
             for m, m_alone in zip(lu.matrices, alone_lu.matrices):
                 assert np.array_equal(m, m_alone)
             assert reconstruction_infidelity(s, params, lu) < 1e-8
-
-    def test_basis_start_only(self):
-        p, lu = canonicalize(ghz_state(3), restarts=0)
-        assert p.d == pytest.approx(1 / SQ2, abs=1e-7)
-        assert reconstruction_infidelity(ghz_state(3), p, lu) < 1e-8
 
     def test_deterministic(self):
         s = haar_random_state(3, seed=8)

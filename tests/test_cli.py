@@ -202,7 +202,7 @@ class TestCanonicalizeCommand:
         code, out, err = run_cli(capsys, "canonicalize", "--builtin", "ghz", "--restarts", "-1")
         assert code == 2
         assert out == ""
-        assert err == "error: restarts must be an integer >= 0, got -1\n"
+        assert err == "error: restarts must be an integer >= 1, got -1\n"
 
     def test_negative_seed_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "canonicalize", "--builtin", "ghz", "--seed", "-1")
